@@ -33,12 +33,6 @@ fn main() {
         .position(|a| a == "--sf")
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse().ok());
-    let skip: Vec<u32> = args
-        .iter()
-        .position(|a| a == "--skip")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.split(',').filter_map(|x| x.parse().ok()).collect())
-        .unwrap_or_default();
     let single;
     let sfs: &[f64] = if let Some(sf) = sf_arg {
         single = [sf];
@@ -78,10 +72,6 @@ fn main() {
         );
         let mut rows = Vec::new();
         for (id, _question, sql) in benchmark_queries() {
-            if skip.contains(&id) {
-                println!("Q{id}: skipped (--skip)");
-                continue;
-            }
             let mut cells = vec![format!("Q{id}")];
             let mut times = Vec::new();
             for (si, sc) in scenarios.iter().enumerate() {

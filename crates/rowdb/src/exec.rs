@@ -15,9 +15,10 @@ use std::sync::Arc;
 use mduck_obs::QueryProgress;
 use mduck_sql::ast::BinaryOp;
 use mduck_sql::eval::{eval, OuterStack, SubqueryExec};
+use mduck_sql::planner::SidedPreds;
 use mduck_sql::{
-    split_conjuncts, BoundExpr, BoundFrom, BoundSelect, ExecGuard, Registry, SortKey, SqlError,
-    SqlResult, Value,
+    BoundExpr, BoundFrom, BoundSelect, ExecGuard, JoinPlan, JoinStep, Registry, ScanNode,
+    SortKey, SqlError, SqlResult, Value,
 };
 
 use crate::catalog::RowCatalog;
@@ -34,7 +35,6 @@ pub struct RowCtx<'a> {
     pub progress: Option<&'a QueryProgress>,
     pub ctes: RefCell<HashMap<usize, Arc<Vec<Row>>>>,
     pub rows_scanned: RefCell<usize>,
-    pub used_index: RefCell<bool>,
 }
 
 impl<'a> RowCtx<'a> {
@@ -46,7 +46,6 @@ impl<'a> RowCtx<'a> {
             progress: None,
             ctes: RefCell::new(HashMap::new()),
             rows_scanned: RefCell::new(0),
-            used_index: RefCell::new(false),
         }
     }
 
@@ -97,209 +96,53 @@ fn detoast_row(ctx: &RowCtx<'_>, row: &Row) -> SqlResult<Row> {
 
 // ------------------------------------------------------------ planning
 
-/// A relation source with pushed-down predicates.
-enum Source {
-    Table { name: String, filters: Vec<BoundExpr>, index_probe: Option<(String, Value, BoundExpr)> },
-    Cte { index: usize },
-    Subquery { plan: Box<BoundSelect> },
-    Series { args: Vec<BoundExpr> },
-    /// `mduck_spans()`: snapshot of the tracing-span ring buffer.
-    Spans,
-    /// `mduck_progress()`: snapshot of the live query-progress registry.
-    Progress,
-    /// `mduck_query_log()`: snapshot of the in-memory query history.
-    QueryLog,
-}
-
-/// How the next relation joins onto the accumulated left side.
-enum JoinStrategy {
-    /// Hash join on equality keys (right keys remapped locally).
-    Hash { left_keys: Vec<BoundExpr>, right_keys: Vec<BoundExpr> },
-    /// GiST index nested loop: probe the right table's index with an
-    /// expression over the left row.
-    IndexNl { op: String, probe: BoundExpr, original: BoundExpr },
-    /// Plain nested loop (cross product).
-    Cross,
-}
-
-struct JoinStep {
-    source: Source,
-    strategy: JoinStrategy,
-    /// Conjuncts applicable once this relation is joined (global indices).
-    post_filters: Vec<BoundExpr>,
-}
-
-struct RowPlan {
-    first: Source,
-    steps: Vec<JoinStep>,
-    /// Predicates left for the very top (subquery-bearing etc.).
-    remaining: Vec<BoundExpr>,
-}
-
-fn plan_rows(ctx: &RowCtx<'_>, plan: &BoundSelect) -> SqlResult<RowPlan> {
-    let mut offsets = Vec::with_capacity(plan.from.len());
-    let mut acc = 0usize;
-    for f in &plan.from {
-        offsets.push(acc);
-        acc += f.schema().len();
-    }
-    let widths: Vec<usize> = plan.from.iter().map(|f| f.schema().len()).collect();
-
-    let mut conjuncts = Vec::new();
-    if let Some(f) = &plan.filter {
-        split_conjuncts(f, &mut conjuncts);
-    }
-    let mut used = vec![false; conjuncts.len()];
-
-    // Per-relation local predicates (remapped) + optional index probe.
-    // Only base tables receive pushdown; predicates over CTE/subquery/
-    // series sources are applied as post-join filters (they stay correct
-    // because the accumulated row keeps global column positions).
-    let mut sources: Vec<Source> = Vec::new();
-    for (ri, f) in plan.from.iter().enumerate() {
-        let (lo, hi) = (offsets[ri], offsets[ri] + widths[ri]);
-        let mut local: Vec<(usize, BoundExpr)> = Vec::new();
-        if matches!(f, BoundFrom::Table { .. }) {
-            for (ci, c) in conjuncts.iter().enumerate() {
-                if used[ci] || c.is_complex() {
-                    continue;
-                }
-                let mut cols = Vec::new();
-                c.collect_columns(&mut cols);
-                if !cols.is_empty() && cols.iter().all(|&x| x >= lo && x < hi) {
-                    local.push((ci, remap_columns(c, lo)));
-                }
+/// The engine's index-scan hook on the shared plan: a base table whose
+/// local filter is `col <op> constant` over an indexed column is read
+/// through that index. Returns the filter's position, operator and
+/// constant.
+fn index_probe(
+    ctx: &RowCtx<'_>,
+    from: &BoundFrom,
+    scan: &ScanNode,
+) -> SqlResult<Option<(usize, String, Value)>> {
+    let BoundFrom::Table { name, .. } = from else { return Ok(None) };
+    let t = ctx.catalog.get(name)?;
+    let t = t.read();
+    for (pos, f) in scan.filters.iter().enumerate() {
+        if let Some((col, op, constant)) = constant_pattern(f) {
+            if t.indexes.iter().any(|i| i.column() == col) {
+                return Ok(Some((pos, op, constant)));
             }
         }
-        let source = match f {
-            BoundFrom::Table { name, .. } => {
-                // Try a single-table index probe (constant pattern).
-                let mut probe = None;
-                let mut probe_ci = None;
-                {
-                    let t = ctx.catalog.get(name)?;
-                    let t = t.read();
-                    for (pos, (_, c)) in local.iter().enumerate() {
-                        if let Some((col, op, constant)) = constant_pattern(c) {
-                            if t.indexes.iter().any(|i| i.column() == col) {
-                                probe = Some((op, constant, c.clone()));
-                                probe_ci = Some(pos);
-                                break;
-                            }
-                        }
-                    }
-                }
-                if let Some(pos) = probe_ci {
-                    let (ci, _) = local.remove(pos);
-                    used[ci] = true;
-                }
-                for (ci, _) in &local {
-                    used[*ci] = true;
-                }
-                Source::Table {
-                    name: name.clone(),
-                    filters: local.into_iter().map(|(_, c)| c).collect(),
-                    index_probe: probe,
-                }
-            }
-            BoundFrom::Cte { index, .. } => Source::Cte { index: *index },
-            BoundFrom::Subquery { plan, .. } => Source::Subquery { plan: plan.clone() },
-            BoundFrom::Series { args, .. } => Source::Series { args: args.clone() },
-            BoundFrom::Spans { .. } => Source::Spans,
-            BoundFrom::Progress { .. } => Source::Progress,
-            BoundFrom::QueryLog { .. } => Source::QueryLog,
-        };
-        sources.push(source);
     }
+    Ok(None)
+}
 
-    let mut it = sources.into_iter();
-    let first = it.next().ok_or_else(|| SqlError::execution("empty FROM"))?;
-    let mut steps = Vec::new();
-    let mut width = widths[0];
-    for (k, source) in it.enumerate() {
-        let ri = k + 1;
-        let (rlo, rhi) = (offsets[ri], offsets[ri] + widths[ri]);
-        // Strategy 1: GiST index nested loop when the right side is a base
-        // table with an index on a column compared by a registered
-        // operator against a left-side expression.
-        let mut strategy = None;
-        if let Source::Table { name, index_probe: None, .. } = &source {
-            let t = ctx.catalog.get(name)?;
-            let t = t.read();
-            for (ci, c) in conjuncts.iter().enumerate() {
-                if used[ci] || c.is_complex() {
-                    continue;
-                }
-                if let Some((col, op, probe)) = join_probe_pattern(c, rlo, rhi, width) {
-                    if t.indexes.iter().any(|i| i.column() == col) {
-                        strategy = Some(JoinStrategy::IndexNl {
-                            op,
-                            probe,
-                            original: c.clone(),
-                        });
-                        used[ci] = true;
-                        *ctx.used_index.borrow_mut() = true;
-                        break;
-                    }
-                }
-            }
-        }
-        // Strategy 2: hash join on equality conjuncts.
-        if strategy.is_none() {
-            let mut lkeys = Vec::new();
-            let mut rkeys = Vec::new();
-            for (ci, c) in conjuncts.iter().enumerate() {
-                if used[ci] || c.is_complex() {
-                    continue;
-                }
-                if let BoundExpr::Compare { op: BinaryOp::Eq, left, right } = c {
-                    let (mut lc, mut rc) = (Vec::new(), Vec::new());
-                    left.collect_columns(&mut lc);
-                    right.collect_columns(&mut rc);
-                    let in_left =
-                        |cols: &[usize]| !cols.is_empty() && cols.iter().all(|&x| x < width);
-                    let in_right = |cols: &[usize]| {
-                        !cols.is_empty() && cols.iter().all(|&x| x >= rlo && x < rhi)
-                    };
-                    if in_left(&lc) && in_right(&rc) {
-                        lkeys.push((**left).clone());
-                        rkeys.push(remap_columns(right, rlo));
-                        used[ci] = true;
-                    } else if in_right(&lc) && in_left(&rc) {
-                        lkeys.push((**right).clone());
-                        rkeys.push(remap_columns(left, rlo));
-                        used[ci] = true;
-                    }
-                }
-            }
-            strategy = Some(if lkeys.is_empty() {
-                JoinStrategy::Cross
-            } else {
-                JoinStrategy::Hash { left_keys: lkeys, right_keys: rkeys }
-            });
-        }
-        width = rhi;
-        let mut post = Vec::new();
-        for (ci, c) in conjuncts.iter().enumerate() {
-            if used[ci] || c.is_complex() {
-                continue;
-            }
-            let mut cols = Vec::new();
-            c.collect_columns(&mut cols);
-            if cols.iter().all(|&x| x < width) {
-                used[ci] = true;
-                post.push(c.clone());
-            }
-        }
-        steps.push(JoinStep { source, strategy: strategy.unwrap(), post_filters: post });
+/// The engine's GiST index nested-loop hook on the shared plan: a join
+/// step without hash keys whose right item is a base table read without
+/// an index probe, and whose predicate compares an indexed column of it
+/// (by a registered operator) with an expression over the left row.
+/// Returns the operator and the probe expression.
+fn index_nl(
+    ctx: &RowCtx<'_>,
+    from: &BoundFrom,
+    step: &JoinStep,
+    left_width: usize,
+) -> SqlResult<Option<(String, BoundExpr)>> {
+    let BoundFrom::Table { name, .. } = from else { return Ok(None) };
+    if !step.keys.is_empty() || index_probe(ctx, from, &step.right)?.is_some() {
+        return Ok(None);
     }
-    let remaining: Vec<BoundExpr> = conjuncts
-        .into_iter()
-        .zip(used)
-        .filter(|(_, u)| !u)
-        .map(|(c, _)| c)
-        .collect();
-    Ok(RowPlan { first, steps, remaining })
+    let t = ctx.catalog.get(name)?;
+    let t = t.read();
+    for c in &step.preds {
+        if let Some((col, op, probe)) = join_probe_pattern(c, left_width) {
+            if t.indexes.iter().any(|i| i.column() == col) {
+                return Ok(Some((op, probe)));
+            }
+        }
+    }
+    Ok(None)
 }
 
 /// `col <op> literal` over the local column space.
@@ -325,21 +168,17 @@ fn constant_pattern(c: &BoundExpr) -> Option<(usize, String, Value)> {
     }
 }
 
-/// `right_col <op> expr(left)` join pattern (commuting `&&`). Returns the
-/// right column (local), operator, and the probe expression over the left
-/// row (global indices, which equal left-local indices).
-fn join_probe_pattern(
-    c: &BoundExpr,
-    rlo: usize,
-    rhi: usize,
-    left_width: usize,
-) -> Option<(usize, String, BoundExpr)> {
+/// `right_col <op> expr(left)` join pattern (commuting `&&`) over a join
+/// step's layout, whose first `left_width` columns are the left row's.
+/// Returns the right column (local), operator, and the probe expression
+/// over the left row.
+fn join_probe_pattern(c: &BoundExpr, left_width: usize) -> Option<(usize, String, BoundExpr)> {
     let BoundExpr::Call { name, args, .. } = c else { return None };
     if args.len() != 2 {
         return None;
     }
     let col_of_right = |e: &BoundExpr| match e {
-        BoundExpr::ColumnRef { index, .. } if *index >= rlo && *index < rhi => Some(*index - rlo),
+        BoundExpr::ColumnRef { index, .. } if *index >= left_width => Some(*index - left_width),
         _ => None,
     };
     let over_left = |e: &BoundExpr| {
@@ -360,43 +199,6 @@ fn join_probe_pattern(
         }
     }
     None
-}
-
-fn remap_columns(e: &BoundExpr, offset: usize) -> BoundExpr {
-    use BoundExpr::*;
-    match e {
-        ColumnRef { index, ty } => ColumnRef { index: index - offset, ty: ty.clone() },
-        Call { name, func, args, ty, strict } => Call {
-            name: name.clone(),
-            func: func.clone(),
-            args: args.iter().map(|a| remap_columns(a, offset)).collect(),
-            ty: ty.clone(),
-            strict: *strict,
-        },
-        Compare { op, left, right } => Compare {
-            op: *op,
-            left: Box::new(remap_columns(left, offset)),
-            right: Box::new(remap_columns(right, offset)),
-        },
-        Arith { op, left, right, ty } => Arith {
-            op: *op,
-            left: Box::new(remap_columns(left, offset)),
-            right: Box::new(remap_columns(right, offset)),
-            ty: ty.clone(),
-        },
-        And(es) => And(es.iter().map(|x| remap_columns(x, offset)).collect()),
-        Or(es) => Or(es.iter().map(|x| remap_columns(x, offset)).collect()),
-        Not(x) => Not(Box::new(remap_columns(x, offset))),
-        IsNull { expr, negated } => {
-            IsNull { expr: Box::new(remap_columns(expr, offset)), negated: *negated }
-        }
-        InList { expr, list, negated } => InList {
-            expr: Box::new(remap_columns(expr, offset)),
-            list: list.iter().map(|x| remap_columns(x, offset)).collect(),
-            negated: *negated,
-        },
-        other => other.clone(),
-    }
 }
 
 /// Render a PostgreSQL-style indented text plan for EXPLAIN.
@@ -429,158 +231,234 @@ pub fn explain_select(ctx: &RowCtx<'_>, plan: &BoundSelect) -> SqlResult<String>
         out.push_str("Result\n");
         return Ok(out);
     }
-    let rp = plan_rows(ctx, plan)?;
-    let mut depth = 0usize;
+    let jp = row_join_plan(ctx, plan)?;
     // Render join steps top-down (last join is outermost).
-    for step in rp.steps.iter().rev() {
+    let mut widths: Vec<usize> = Vec::with_capacity(jp.steps.len());
+    let mut width = plan.from[jp.first.rel].schema().len();
+    for step in &jp.steps {
+        widths.push(width);
+        width += plan.from[step.right.rel].schema().len();
+    }
+    let mut depth = 0usize;
+    for (step, &left_width) in jp.steps.iter().zip(&widths).rev() {
         let pad = "  ".repeat(depth);
-        match &step.strategy {
-            JoinStrategy::Hash { left_keys, .. } => {
-                out.push_str(&format!("{pad}Hash Join (keys: {})\n", left_keys.len()))
-            }
-            JoinStrategy::IndexNl { op, .. } => out.push_str(&format!(
-                "{pad}Nested Loop (index probe: {op} via GiST)\n"
+        let from = &plan.from[step.right.rel];
+        let est = fmt_est(step.est_rows);
+        match index_nl(ctx, from, step, left_width)? {
+            Some((op, _)) => out.push_str(&format!(
+                "{pad}Nested Loop (index probe: {op} via GiST)  {est}\n"
             )),
-            JoinStrategy::Cross => out.push_str(&format!("{pad}Nested Loop\n")),
+            None if !step.keys.is_empty() => {
+                out.push_str(&format!("{pad}Hash Join (keys: {})  {est}\n", step.keys.len()))
+            }
+            None => {
+                out.push_str(&format!("{pad}Nested Loop"));
+                if !step.preds.is_empty() {
+                    out.push_str(&format!("  Join Filter: {} condition(s)", step.preds.len()));
+                }
+                out.push_str(&format!("  {est}\n"));
+            }
         }
         depth += 1;
     }
     let pad = "  ".repeat(depth);
-    render_source(&mut out, &pad, &rp.first);
-    for step in &rp.steps {
-        render_source(&mut out, &pad, &step.source);
+    render_scan(ctx, &mut out, &pad, &plan.from[jp.first.rel], &jp.first)?;
+    for step in &jp.steps {
+        render_scan(ctx, &mut out, &pad, &plan.from[step.right.rel], &step.right)?;
     }
     Ok(out)
 }
 
-fn render_source(out: &mut String, pad: &str, s: &Source) {
-    match s {
-        Source::Table { name, filters, index_probe } => {
-            if let Some((op, _, _)) = index_probe {
-                out.push_str(&format!("{pad}Index Scan on {name} ({op} probe)\n"));
-            } else {
-                out.push_str(&format!("{pad}Seq Scan on {name}"));
-                if !filters.is_empty() {
-                    out.push_str(&format!("  Filter: {} condition(s)", filters.len()));
-                }
-                out.push('\n');
+fn fmt_est(rows: f64) -> String {
+    format!("(est rows={})", rows.round().max(1.0))
+}
+
+fn render_scan(
+    ctx: &RowCtx<'_>,
+    out: &mut String,
+    pad: &str,
+    from: &BoundFrom,
+    scan: &ScanNode,
+) -> SqlResult<()> {
+    let mut filters = scan.filters.len();
+    let node = match from {
+        BoundFrom::Table { name, .. } => match index_probe(ctx, from, scan)? {
+            Some((_, op, _)) => {
+                filters -= 1;
+                format!("Index Scan on {name} ({op} probe)")
             }
-        }
-        Source::Cte { index } => out.push_str(&format!("{pad}CTE Scan (slot {index})\n")),
-        Source::Subquery { .. } => out.push_str(&format!("{pad}Subquery Scan\n")),
-        Source::Series { .. } => out.push_str(&format!("{pad}Function Scan on generate_series\n")),
-        Source::Spans => out.push_str(&format!("{pad}Function Scan on mduck_spans\n")),
-        Source::Progress => out.push_str(&format!("{pad}Function Scan on mduck_progress\n")),
-        Source::QueryLog => out.push_str(&format!("{pad}Function Scan on mduck_query_log\n")),
+            None => format!("Seq Scan on {name}"),
+        },
+        BoundFrom::Cte { index, .. } => format!("CTE Scan (slot {index})"),
+        BoundFrom::Subquery { .. } => "Subquery Scan".into(),
+        BoundFrom::Series { .. } => "Function Scan on generate_series".into(),
+        BoundFrom::Spans { .. } => "Function Scan on mduck_spans".into(),
+        BoundFrom::Progress { .. } => "Function Scan on mduck_progress".into(),
+        BoundFrom::QueryLog { .. } => "Function Scan on mduck_query_log".into(),
+    };
+    out.push_str(&format!("{pad}{node}"));
+    if filters > 0 {
+        out.push_str(&format!("  Filter: {filters} condition(s)"));
     }
+    out.push_str(&format!("  {}\n", fmt_est(scan.est_rows)));
+    Ok(())
 }
 
 // ------------------------------------------------------------ execution
 
-fn scan_source(
+/// The shared join plan of `plan`, estimated from the heap tables' row
+/// counts.
+fn row_join_plan(ctx: &RowCtx<'_>, plan: &BoundSelect) -> SqlResult<JoinPlan> {
+    let table_rows = |name: &str| ctx.catalog.get(name).ok().map(|t| t.read().rows.len());
+    JoinPlan::new(plan, &table_rows)
+}
+
+/// Keep the rows every predicate accepts.
+fn filter_rows(
     ctx: &RowCtx<'_>,
-    source: &Source,
+    mut rows: Vec<Row>,
+    preds: &[BoundExpr],
     outer: &OuterStack<'_>,
 ) -> SqlResult<Vec<Row>> {
     let exec = RowExecutor { ctx };
-    match source {
-        Source::Table { name, filters, index_probe } => {
-            let t = ctx.catalog.get(name)?;
-            let t = t.read();
-            let mut out = Vec::new();
-            let candidate_rows: Option<Vec<u64>> = match index_probe {
-                Some((op, constant, _)) => {
-                    let mut hit = None;
-                    for idx in &t.indexes {
-                        if let Some(rows) = idx.try_scan(op, constant)? {
-                            hit = Some(rows);
-                            break;
-                        }
-                    }
-                    if hit.is_some() {
-                        *ctx.used_index.borrow_mut() = true;
-                    }
-                    hit
-                }
-                None => None,
-            };
-            let mut process = |row: Row| -> SqlResult<()> {
-                for f in filters {
-                    if !matches!(eval(f, &row, outer, &exec)?, Value::Bool(true)) {
-                        return Ok(());
-                    }
-                }
-                ctx.guard.charge_mem(row_bytes(&row))?;
-                out.push(row);
-                Ok(())
-            };
-            let candidates;
-            match (candidate_rows, index_probe) {
-                (Some(mut ids), Some((_, _, original))) => {
-                    ids.sort_unstable();
-                    candidates = ids.len();
-                    *ctx.rows_scanned.borrow_mut() += ids.len();
-                    ctx.guard.note_scanned(ids.len());
-                    let m = mduck_obs::metrics();
-                    m.index_probes.inc(1);
-                    m.rows_scanned.inc(ids.len() as u64);
-                    if let Some(pr) = ctx.progress {
-                        pr.add_total(ids.len() as u64);
-                    }
-                    for id in ids {
-                        if let Some(pr) = ctx.progress {
-                            pr.add_done(1);
-                        }
-                        let row = detoast_row(ctx, &t.rows[id as usize])?;
-                        // Re-check the indexed predicate (the index may be
-                        // lossy) plus residual filters.
-                        if !matches!(eval(original, &row, outer, &exec)?, Value::Bool(true)) {
-                            continue;
-                        }
-                        process(row)?;
-                    }
-                }
-                _ => {
-                    candidates = t.rows.len();
-                    *ctx.rows_scanned.borrow_mut() += t.rows.len();
-                    ctx.guard.note_scanned(t.rows.len());
-                    let m = mduck_obs::metrics();
-                    m.full_scans.inc(1);
-                    m.rows_scanned.inc(t.rows.len() as u64);
-                    if let Some(pr) = ctx.progress {
-                        pr.add_total(t.rows.len() as u64);
-                    }
-                    for stored in &t.rows {
-                        if let Some(pr) = ctx.progress {
-                            pr.add_done(1);
-                        }
-                        let row = detoast_row(ctx, stored)?;
-                        if let Some((_, _, original)) = index_probe {
-                            if !matches!(
-                                eval(original, &row, outer, &exec)?,
-                                Value::Bool(true)
-                            ) {
-                                continue;
-                            }
-                        }
-                        process(row)?;
-                    }
+    for f in preds {
+        let before = rows.len();
+        let mut kept = Vec::with_capacity(rows.len());
+        for row in rows {
+            if matches!(eval(f, &row, outer, &exec)?, Value::Bool(true)) {
+                kept.push(row);
+            }
+        }
+        mduck_obs::metrics().rows_filtered.inc((before - kept.len()) as u64);
+        rows = kept;
+    }
+    Ok(rows)
+}
+
+/// True when every predicate accepts `row`.
+fn accepts(
+    ctx: &RowCtx<'_>,
+    preds: &[BoundExpr],
+    row: &[Value],
+    outer: &OuterStack<'_>,
+) -> SqlResult<bool> {
+    let exec = RowExecutor { ctx };
+    for p in preds {
+        if !matches!(eval(p, row, outer, &exec)?, Value::Bool(true)) {
+            return Ok(false);
+        }
+    }
+    Ok(true)
+}
+
+/// Read one FROM item's rows with its local filters applied.
+fn scan_rel(
+    ctx: &RowCtx<'_>,
+    from: &BoundFrom,
+    scan: &ScanNode,
+    outer: &OuterStack<'_>,
+) -> SqlResult<Vec<Row>> {
+    let BoundFrom::Table { name, .. } = from else {
+        let rows = source_rows(ctx, from, outer)?;
+        return filter_rows(ctx, rows, &scan.filters, outer);
+    };
+    let exec = RowExecutor { ctx };
+    let mut filters = scan.filters.clone();
+    let probe = index_probe(ctx, from, scan)?.map(|(pos, op, constant)| {
+        let original = filters.remove(pos);
+        (op, constant, original)
+    });
+    let t = ctx.catalog.get(name)?;
+    let t = t.read();
+    let mut out = Vec::new();
+    let candidate_rows: Option<Vec<u64>> = match &probe {
+        Some((op, constant, _)) => {
+            let mut hit = None;
+            for idx in &t.indexes {
+                if let Some(rows) = idx.try_scan(op, constant)? {
+                    hit = Some(rows);
+                    break;
                 }
             }
-            mduck_obs::metrics()
-                .rows_filtered
-                .inc(candidates.saturating_sub(out.len()) as u64);
-            Ok(out)
+            hit
         }
-        Source::Cte { index } => {
+        None => None,
+    };
+    let mut process = |row: Row| -> SqlResult<()> {
+        if accepts(ctx, &filters, &row, outer)? {
+            ctx.guard.charge_mem(row_bytes(&row))?;
+            out.push(row);
+        }
+        Ok(())
+    };
+    let candidates;
+    match (candidate_rows, &probe) {
+        (Some(mut ids), Some((_, _, original))) => {
+            ids.sort_unstable();
+            candidates = ids.len();
+            *ctx.rows_scanned.borrow_mut() += ids.len();
+            ctx.guard.note_scanned(ids.len());
+            let m = mduck_obs::metrics();
+            m.index_probes.inc(1);
+            m.rows_scanned.inc(ids.len() as u64);
+            if let Some(pr) = ctx.progress {
+                pr.add_total(ids.len() as u64);
+            }
+            for id in ids {
+                if let Some(pr) = ctx.progress {
+                    pr.add_done(1);
+                }
+                let row = detoast_row(ctx, &t.rows[id as usize])?;
+                // Re-check the indexed predicate (the index may be
+                // lossy) plus residual filters.
+                if !matches!(eval(original, &row, outer, &exec)?, Value::Bool(true)) {
+                    continue;
+                }
+                process(row)?;
+            }
+        }
+        _ => {
+            candidates = t.rows.len();
+            *ctx.rows_scanned.borrow_mut() += t.rows.len();
+            ctx.guard.note_scanned(t.rows.len());
+            let m = mduck_obs::metrics();
+            m.full_scans.inc(1);
+            m.rows_scanned.inc(t.rows.len() as u64);
+            if let Some(pr) = ctx.progress {
+                pr.add_total(t.rows.len() as u64);
+            }
+            for stored in &t.rows {
+                if let Some(pr) = ctx.progress {
+                    pr.add_done(1);
+                }
+                let row = detoast_row(ctx, stored)?;
+                if let Some((_, _, original)) = &probe {
+                    if !matches!(eval(original, &row, outer, &exec)?, Value::Bool(true)) {
+                        continue;
+                    }
+                }
+                process(row)?;
+            }
+        }
+    }
+    mduck_obs::metrics().rows_filtered.inc(candidates.saturating_sub(out.len()) as u64);
+    Ok(out)
+}
+
+/// Rows of a FROM item that is not a base table.
+fn source_rows(ctx: &RowCtx<'_>, from: &BoundFrom, outer: &OuterStack<'_>) -> SqlResult<Vec<Row>> {
+    let exec = RowExecutor { ctx };
+    match from {
+        BoundFrom::Table { .. } => Err(SqlError::internal("base tables are read by scan_rel")),
+        BoundFrom::Cte { index, .. } => {
             let ctes = ctx.ctes.borrow();
             let rows = ctes
                 .get(index)
                 .ok_or_else(|| SqlError::execution(format!("CTE {index} not materialized")))?;
             Ok((**rows).clone())
         }
-        Source::Subquery { plan } => execute_select(ctx, plan, outer),
-        Source::Series { args } => {
+        BoundFrom::Subquery { plan, .. } => execute_select(ctx, plan, outer),
+        BoundFrom::Series { args, .. } => {
             let vals: SqlResult<Vec<Value>> =
                 args.iter().map(|a| eval(a, &[], outer, &exec)).collect();
             let vals = vals?;
@@ -598,10 +476,189 @@ fn scan_source(
             }
             Ok(out)
         }
-        Source::Spans => Ok(mduck_sql::introspect::span_rows()),
-        Source::Progress => Ok(mduck_sql::introspect::progress_rows()),
-        Source::QueryLog => Ok(mduck_sql::introspect::query_log_rows()),
+        BoundFrom::Spans { .. } => Ok(mduck_sql::introspect::span_rows()),
+        BoundFrom::Progress { .. } => Ok(mduck_sql::introspect::progress_rows()),
+        BoundFrom::QueryLog { .. } => Ok(mduck_sql::introspect::query_log_rows()),
     }
+}
+
+/// Join the FROM items in the shared plan's order and return the joined
+/// rows in the FROM column layout, residual conjuncts applied.
+fn join_rows(ctx: &RowCtx<'_>, plan: &BoundSelect, outer: &OuterStack<'_>) -> SqlResult<Vec<Row>> {
+    let jp = row_join_plan(ctx, plan)?;
+    let first = &plan.from[jp.first.rel];
+    let mut acc = scan_rel(ctx, first, &jp.first, outer)?;
+    let mut width = first.schema().len();
+    for step in &jp.steps {
+        let from = &plan.from[step.right.rel];
+        acc = match index_nl(ctx, from, step, width)? {
+            Some(probe) => index_nl_join(ctx, acc, from, step, probe, outer)?,
+            None => {
+                let right = scan_rel(ctx, from, &step.right, outer)?;
+                if step.keys.is_empty() {
+                    nested_loop_join(ctx, &acc, &right, width, &step.preds, outer)?
+                } else {
+                    hash_join(ctx, &acc, &right, step, outer)?
+                }
+            }
+        };
+        width += from.schema().len();
+        mduck_obs::metrics().rows_joined.inc(acc.len() as u64);
+    }
+    if let Some(perm) = &jp.permutation {
+        for row in &mut acc {
+            let mut joined = std::mem::take(row);
+            *row = perm.iter().map(|&i| std::mem::replace(&mut joined[i], Value::Null)).collect();
+        }
+    }
+    filter_rows(ctx, acc, &jp.residual, outer)
+}
+
+/// Nested-loop join: every left row paired with every right row that the
+/// placed predicates accept. Like PostgreSQL, it evaluates the predicates
+/// per pair, on a narrow row of just the columns they read, so rejected
+/// pairs are never materialized; the guard is ticked per pair.
+fn nested_loop_join(
+    ctx: &RowCtx<'_>,
+    left: &[Row],
+    right: &[Row],
+    left_width: usize,
+    preds: &[BoundExpr],
+    outer: &OuterStack<'_>,
+) -> SqlResult<Vec<Row>> {
+    let exec = RowExecutor { ctx };
+    let sided = SidedPreds::new(preds, left_width, false);
+    let mut pair: Vec<Value> = Vec::with_capacity(sided.left.len() + sided.right.len());
+    let mut out = Vec::new();
+    for l in left {
+        for r in right {
+            ctx.guard.tick()?;
+            if !sided.preds.is_empty() {
+                pair.clear();
+                for e in &sided.left {
+                    pair.push(eval(e, l, outer, &exec)?);
+                }
+                for e in &sided.right {
+                    pair.push(eval(e, r, outer, &exec)?);
+                }
+                if !accepts(ctx, &sided.preds, &pair, outer)? {
+                    continue;
+                }
+            }
+            let mut row = l.clone();
+            row.extend(r.iter().cloned());
+            ctx.guard.charge_mem(row_bytes(&row))?;
+            out.push(row);
+        }
+    }
+    Ok(out)
+}
+
+/// Hash join on the step's keys, building on the side with fewer rows;
+/// the step's other predicates are checked on each match before it is
+/// kept. Output rows are the left row's values, then the right row's.
+fn hash_join(
+    ctx: &RowCtx<'_>,
+    left: &[Row],
+    right: &[Row],
+    step: &JoinStep,
+    outer: &OuterStack<'_>,
+) -> SqlResult<Vec<Row>> {
+    let exec = RowExecutor { ctx };
+    // The serialized key of a left (`on_left`) or right row; `None` when a
+    // key is NULL (NULL never joins).
+    let key_of = |row: &Row, on_left: bool| -> SqlResult<Option<Vec<u8>>> {
+        let mut key = Vec::new();
+        for (l, r) in &step.keys {
+            let v = eval(if on_left { l } else { r }, row, outer, &exec)?;
+            if v.is_null() {
+                return Ok(None);
+            }
+            v.hash_key(&mut key);
+        }
+        Ok(Some(key))
+    };
+    let build_left = left.len() < right.len();
+    let (build, probe) = if build_left { (left, right) } else { (right, left) };
+    let mut table: HashMap<Vec<u8>, Vec<usize>> = HashMap::with_capacity(build.len());
+    for (i, b) in build.iter().enumerate() {
+        if let Some(key) = key_of(b, build_left)? {
+            // Build-side state: the serialized key plus a bucket slot per
+            // entry.
+            ctx.guard.charge_mem(32 + key.len() as u64)?;
+            table.entry(key).or_default().push(i);
+        }
+    }
+    let mut out = Vec::new();
+    for p in probe {
+        let Some(matches) = key_of(p, !build_left)?.and_then(|k| table.get(&k)) else { continue };
+        for &i in matches {
+            let (l, r) = if build_left { (&build[i], p) } else { (p, &build[i]) };
+            let mut row = l.clone();
+            row.extend(r.iter().cloned());
+            if accepts(ctx, &step.preds, &row, outer)? {
+                ctx.guard.charge_mem(row_bytes(&row))?;
+                out.push(row);
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// GiST index nested loop: probe the right table's index with an
+/// expression over each left row, then re-check every placed predicate
+/// (the index may be lossy) on the candidate pair.
+fn index_nl_join(
+    ctx: &RowCtx<'_>,
+    left: Vec<Row>,
+    from: &BoundFrom,
+    step: &JoinStep,
+    (op, probe): (String, BoundExpr),
+    outer: &OuterStack<'_>,
+) -> SqlResult<Vec<Row>> {
+    let BoundFrom::Table { name, .. } = from else {
+        return Err(SqlError::execution("index NL join needs a base table"));
+    };
+    let exec = RowExecutor { ctx };
+    let t = ctx.catalog.get(name)?;
+    let t = t.read();
+    let mut out = Vec::new();
+    for l in &left {
+        let probe_val = eval(&probe, l, outer, &exec)?;
+        if probe_val.is_null() {
+            continue;
+        }
+        let mut ids = None;
+        for idx in &t.indexes {
+            if let Some(hit) = idx.try_scan(&op, &probe_val)? {
+                ids = Some(hit);
+                break;
+            }
+        }
+        let Some(ids) = ids else {
+            return Err(SqlError::execution(
+                "planned index NL join but no index accepted the probe",
+            ));
+        };
+        *ctx.rows_scanned.borrow_mut() += ids.len();
+        ctx.guard.note_scanned(ids.len());
+        let m = mduck_obs::metrics();
+        m.index_probes.inc(1);
+        m.rows_scanned.inc(ids.len() as u64);
+        for id in ids {
+            let r = detoast_row(ctx, &t.rows[id as usize])?;
+            if !accepts(ctx, &step.right.filters, &r, outer)? {
+                continue;
+            }
+            let mut row = l.clone();
+            row.extend(r.iter().cloned());
+            if accepts(ctx, &step.preds, &row, outer)? {
+                ctx.guard.charge_mem(row_bytes(&row))?;
+                out.push(row);
+            }
+        }
+    }
+    Ok(out)
 }
 
 /// Execute a bound SELECT, row at a time.
@@ -619,139 +676,8 @@ pub fn execute_select(
     }
 
     // FROM/WHERE pipeline.
-    let mut rows: Vec<Row> = if plan.from.is_empty() {
-        vec![Vec::new()]
-    } else {
-        let rp = plan_rows(ctx, plan)?;
-        let mut acc = scan_source(ctx, &rp.first, outer)?;
-        for step in &rp.steps {
-            acc = match &step.strategy {
-                JoinStrategy::Cross => {
-                    let right = scan_source(ctx, &step.source, outer)?;
-                    let mut out = Vec::new();
-                    for l in &acc {
-                        for r in &right {
-                            let mut row = l.clone();
-                            row.extend(r.iter().cloned());
-                            ctx.guard.charge_mem(row_bytes(&row))?;
-                            out.push(row);
-                        }
-                    }
-                    out
-                }
-                JoinStrategy::Hash { left_keys, right_keys } => {
-                    let right = scan_source(ctx, &step.source, outer)?;
-                    let mut table: HashMap<Vec<u8>, Vec<usize>> =
-                        HashMap::with_capacity(right.len());
-                    'build: for (i, r) in right.iter().enumerate() {
-                        let mut key = Vec::new();
-                        for k in right_keys {
-                            let v = eval(k, r, outer, &exec)?;
-                            if v.is_null() {
-                                continue 'build;
-                            }
-                            v.hash_key(&mut key);
-                        }
-                        // Build-side state: the serialized key plus a
-                        // bucket slot per entry.
-                        ctx.guard.charge_mem(32 + key.len() as u64)?;
-                        table.entry(key).or_default().push(i);
-                    }
-                    let mut out = Vec::new();
-                    'probe: for l in &acc {
-                        let mut key = Vec::new();
-                        for k in left_keys {
-                            let v = eval(k, l, outer, &exec)?;
-                            if v.is_null() {
-                                continue 'probe;
-                            }
-                            v.hash_key(&mut key);
-                        }
-                        if let Some(ms) = table.get(&key) {
-                            for &i in ms {
-                                let mut row = l.clone();
-                                row.extend(right[i].iter().cloned());
-                                ctx.guard.charge_mem(row_bytes(&row))?;
-                                out.push(row);
-                            }
-                        }
-                    }
-                    out
-                }
-                JoinStrategy::IndexNl { op, probe, original } => {
-                    let Source::Table { name, filters, .. } = &step.source else {
-                        return Err(SqlError::execution("index NL join needs a base table"));
-                    };
-                    let t = ctx.catalog.get(name)?;
-                    let t = t.read();
-                    let mut out = Vec::new();
-                    for l in &acc {
-                        let probe_val = eval(probe, l, outer, &exec)?;
-                        if probe_val.is_null() {
-                            continue;
-                        }
-                        let mut ids = None;
-                        for idx in &t.indexes {
-                            if let Some(hit) = idx.try_scan(op, &probe_val)? {
-                                ids = Some(hit);
-                                break;
-                            }
-                        }
-                        let Some(ids) = ids else {
-                            return Err(SqlError::execution(
-                                "planned index NL join but no index accepted the probe",
-                            ));
-                        };
-                        *ctx.rows_scanned.borrow_mut() += ids.len();
-                        ctx.guard.note_scanned(ids.len());
-                        let m = mduck_obs::metrics();
-                        m.index_probes.inc(1);
-                        m.rows_scanned.inc(ids.len() as u64);
-                        'cand: for id in ids {
-                            let r = detoast_row(ctx, &t.rows[id as usize])?;
-                            for f in filters {
-                                if !matches!(eval(f, &r, outer, &exec)?, Value::Bool(true)) {
-                                    continue 'cand;
-                                }
-                            }
-                            let mut row = l.clone();
-                            row.extend(r.iter().cloned());
-                            // Re-check the join predicate exactly.
-                            if matches!(eval(original, &row, outer, &exec)?, Value::Bool(true)) {
-                                ctx.guard.charge_mem(row_bytes(&row))?;
-                                out.push(row);
-                            }
-                        }
-                    }
-                    out
-                }
-            };
-            mduck_obs::metrics().rows_joined.inc(acc.len() as u64);
-            for f in &step.post_filters {
-                let before = acc.len();
-                let mut kept = Vec::with_capacity(acc.len());
-                for row in acc {
-                    if matches!(eval(f, &row, outer, &exec)?, Value::Bool(true)) {
-                        kept.push(row);
-                    }
-                }
-                mduck_obs::metrics().rows_filtered.inc((before - kept.len()) as u64);
-                acc = kept;
-            }
-        }
-        for f in &rp.remaining {
-            let before = acc.len();
-            let mut kept = Vec::with_capacity(acc.len());
-            for row in acc {
-                if matches!(eval(f, &row, outer, &exec)?, Value::Bool(true)) {
-                    kept.push(row);
-                }
-            }
-            mduck_obs::metrics().rows_filtered.inc((before - kept.len()) as u64);
-            acc = kept;
-        }
-        acc
-    };
+    let mut rows: Vec<Row> =
+        if plan.from.is_empty() { vec![Vec::new()] } else { join_rows(ctx, plan, outer)? };
 
     // Aggregation.
     if plan.aggregated {

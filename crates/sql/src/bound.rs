@@ -217,6 +217,64 @@ impl BoundExpr {
             _ => {}
         }
     }
+
+    /// Rewrite every column index at the current depth through `f` (move a
+    /// predicate into another row layout). Subquery plans are left as
+    /// they are, so only expressions that are not [`is_complex`] may be
+    /// moved to a layout with different columns.
+    ///
+    /// [`is_complex`]: BoundExpr::is_complex
+    pub fn map_columns(&self, f: &dyn Fn(usize) -> usize) -> BoundExpr {
+        match self {
+            BoundExpr::ColumnRef { index, ty } => {
+                BoundExpr::ColumnRef { index: f(*index), ty: ty.clone() }
+            }
+            other => other.map_children(&mut |e| e.map_columns(f)),
+        }
+    }
+
+    /// This node with each direct child expression (at the current depth)
+    /// replaced by `f(child)`; leaves and subquery plans are cloned.
+    pub fn map_children(&self, f: &mut dyn FnMut(&BoundExpr) -> BoundExpr) -> BoundExpr {
+        use BoundExpr::*;
+        let mut map = |e: &BoundExpr| Box::new(f(e));
+        match self {
+            Call { name, func, args, ty, strict } => Call {
+                name: name.clone(),
+                func: func.clone(),
+                args: args.iter().map(|a| *map(a)).collect(),
+                ty: ty.clone(),
+                strict: *strict,
+            },
+            Compare { op, left, right } => Compare { op: *op, left: map(left), right: map(right) },
+            Arith { op, left, right, ty } => {
+                Arith { op: *op, left: map(left), right: map(right), ty: ty.clone() }
+            }
+            And(es) => And(es.iter().map(|e| *map(e)).collect()),
+            Or(es) => Or(es.iter().map(|e| *map(e)).collect()),
+            Not(e) => Not(map(e)),
+            IsNull { expr, negated } => IsNull { expr: map(expr), negated: *negated },
+            InList { expr, list, negated } => InList {
+                expr: map(expr),
+                list: list.iter().map(|e| *map(e)).collect(),
+                negated: *negated,
+            },
+            Case { operand, branches, else_expr, ty } => Case {
+                operand: operand.as_deref().map(&mut map),
+                branches: branches.iter().map(|(c, v)| (*map(c), *map(v))).collect(),
+                else_expr: else_expr.as_deref().map(&mut map),
+                ty: ty.clone(),
+            },
+            Quantified { op, all, left, plan } => {
+                Quantified { op: *op, all: *all, left: map(left), plan: plan.clone() }
+            }
+            Literal(_)
+            | ColumnRef { .. }
+            | OuterRef { .. }
+            | ScalarSubquery { .. }
+            | Exists { .. } => self.clone(),
+        }
+    }
 }
 
 /// One bound aggregate call.
@@ -338,14 +396,14 @@ pub struct BoundCte {
 ///
 /// Evaluation model shared by both engines:
 /// 1. materialize `ctes` in order;
-/// 2. produce the cross product of `from` (engines extract equi-join and
-///    index-join conditions from `filter`'s conjuncts);
-/// 3. apply `filter`;
-/// 4. if `aggregated`: group by `group_by`, compute `aggregates`, and form
+/// 2. join `from` and apply `filter`, as planned by
+///    [`JoinPlan`](crate::planner::JoinPlan): the result has the columns
+///    of the FROM items' cross product, in FROM order;
+/// 3. if `aggregated`: group by `group_by`, compute `aggregates`, and form
 ///    the *aggregate environment row* `[group keys ++ agg results]`; apply
 ///    `having`; otherwise the environment row is the input row;
-/// 5. evaluate `projections` over the environment row;
-/// 6. DISTINCT, ORDER BY (`SortKey::Output` over the projected row,
+/// 4. evaluate `projections` over the environment row;
+/// 5. DISTINCT, ORDER BY (`SortKey::Output` over the projected row,
 ///    `SortKey::Input` over the environment row), OFFSET/LIMIT.
 #[derive(Debug, Clone, Default)]
 pub struct BoundSelect {

@@ -20,6 +20,7 @@ pub mod guard;
 pub mod introspect;
 pub mod lexer;
 pub mod parser;
+pub mod planner;
 pub mod registry;
 pub mod value;
 
@@ -33,5 +34,6 @@ pub use error::{SqlError, SqlResult};
 pub use eval::{compare, eval, OuterStack, SubqueryExec};
 pub use guard::{CancelHandle, ExecGuard, ExecLimits, GuardTrip};
 pub use parser::{parse_script, parse_statement};
+pub use planner::{JoinPlan, JoinStep, ScanNode};
 pub use registry::{downcast_partial, AggState, Registry, ScalarFn, ScalarSig};
 pub use value::{ExtObject, ExtValue, LogicalType, Value};

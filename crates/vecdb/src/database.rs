@@ -18,7 +18,7 @@ use mduck_sql::{
 
 use crate::catalog::{DbCatalog, Table};
 use crate::column::ColumnData;
-use crate::exec::{execute_select, execute_select_planned, plan_joins, plan_key, EngineCtx};
+use crate::exec::{execute_select, execute_select_planned, physical_plan, plan_key, EngineCtx};
 use crate::explain::{
     op_breakdown, render_plan, render_plan_analyzed, stage_breakdown, AnalyzeData, OpBreakdown,
     StageBreakdown,
@@ -601,20 +601,14 @@ impl Database {
                     rows
                 } else {
                     let plan_start = Instant::now();
-                    let (tree, remaining) = {
+                    let phys = {
                         let _s = mduck_obs::span("vecdb.plan");
-                        plan_joins(&ctx, &plan)?
+                        physical_plan(&ctx, &plan)?
                     };
                     m.vecdb_plan_ns.observe(plan_start.elapsed().as_nanos() as u64);
                     let _s = mduck_obs::span("vecdb.exec");
                     let exec_start = Instant::now();
-                    let rows = execute_select_planned(
-                        &ctx,
-                        &plan,
-                        &tree,
-                        &remaining,
-                        &OuterStack::EMPTY,
-                    )?;
+                    let rows = execute_select_planned(&ctx, &plan, &phys, &OuterStack::EMPTY)?;
                     m.vecdb_exec_ns.observe(exec_start.elapsed().as_nanos() as u64);
                     rows
                 };
@@ -631,8 +625,7 @@ impl Database {
                     let mut binder = Binder::new(&self.catalog, &registry);
                     let plan = binder.bind_select(sel)?;
                     let ctx = EngineCtx::new(&self.catalog, &registry, guard);
-                    let (tree, remaining) = plan_joins(&ctx, &plan)?;
-                    render_plan(&plan, &tree, &remaining)
+                    render_plan(&plan, &physical_plan(&ctx, &plan)?)
                 };
                 Ok(QueryResult {
                     schema: Schema::new(vec![mduck_sql::Field {
@@ -897,15 +890,15 @@ impl Database {
             .with_progress(progress);
         ctx.enable_profiling();
         let plan_start = Instant::now();
-        let (tree, remaining) = {
+        let phys = {
             let _s = mduck_obs::span("vecdb.plan");
-            plan_joins(&ctx, &plan)?
+            physical_plan(&ctx, &plan)?
         };
         m.vecdb_plan_ns.observe(plan_start.elapsed().as_nanos() as u64);
         let exec_start = Instant::now();
         let rows = {
             let _s = mduck_obs::span("vecdb.exec");
-            execute_select_planned(&ctx, &plan, &tree, &remaining, &OuterStack::EMPTY)?
+            execute_select_planned(&ctx, &plan, &phys, &OuterStack::EMPTY)?
         };
         let exec_elapsed = exec_start.elapsed();
         m.vecdb_exec_ns.observe(exec_elapsed.as_nanos() as u64);
@@ -920,8 +913,8 @@ impl Database {
             total_ms,
             result_rows: rows.len(),
         };
-        let explain = render_plan_analyzed(&plan, &tree, &remaining, &analyze);
-        let operators = op_breakdown(&tree, profile);
+        let explain = render_plan_analyzed(&plan, &phys, &analyze);
+        let operators = op_breakdown(&phys.tree, profile);
         let stages = stage_breakdown(plan_key(&plan), profile);
         Ok(ProfiledQuery {
             result: QueryResult { schema: plan.output_schema.clone(), rows },

@@ -1,8 +1,9 @@
 //! Physical planning and vectorized execution of bound SELECT plans.
 //!
-//! The planner mirrors DuckDB's behaviour the paper relies on:
-//! single-relation predicates are pushed below joins, equality conjuncts
-//! become hash joins, and — the §4.3 mechanism — a filter of the shape
+//! The join order, predicate placement and estimates come from the shared
+//! [`JoinPlan`]; this module lowers it to a tree of scans, filters, hash
+//! joins (equality keys) and nested-loop joins (everything else). The
+//! engine's own hook is the §4.3 mechanism: a filter of the shape
 //! `column && constant` over an indexed column is replaced by an index
 //! scan on the registered TRTREE index.
 
@@ -11,10 +12,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use mduck_sql::ast::BinaryOp;
 use mduck_sql::eval::{eval, NoSubqueries, OuterStack, SubqueryExec};
+use mduck_sql::planner::{selectivity, SidedPreds};
 use mduck_sql::{
-    split_conjuncts, BoundExpr, BoundFrom, BoundSelect, ExecGuard, LogicalType, Registry,
+    BoundExpr, BoundFrom, BoundSelect, ExecGuard, JoinPlan, LogicalType, Registry, ScanNode,
     SortKey, SqlError, SqlResult, Value,
 };
 
@@ -34,8 +35,6 @@ pub struct EngineCtx<'a> {
     pub ctes: RefCell<HashMap<usize, Arc<Chunks>>>,
     /// Statistics: rows read by scans (EXPLAIN ANALYZE-style diagnostics).
     pub rows_scanned: RefCell<usize>,
-    /// True when the optimizer injected at least one index scan.
-    pub used_index_scan: RefCell<bool>,
     /// Per-operator/per-stage actuals, populated only under
     /// `EXPLAIN ANALYZE` (see [`EngineCtx::enable_profiling`]).
     pub profile: Option<Profile>,
@@ -122,7 +121,6 @@ impl<'a> EngineCtx<'a> {
             guard,
             ctes: RefCell::new(HashMap::new()),
             rows_scanned: RefCell::new(0),
-            used_index_scan: RefCell::new(false),
             profile: None,
             threads: 1,
             progress: None,
@@ -285,142 +283,88 @@ pub enum PhysOp {
         pred: BoundExpr,
         child: Box<PhysOp>,
     },
+    /// Hash join building on the right input; `preds` (over the joined
+    /// layout) are checked on each key match before it is materialized.
     HashJoin {
         left: Box<PhysOp>,
         right: Box<PhysOp>,
         left_keys: Vec<BoundExpr>,
-        /// Remapped to the right child's local column space.
+        /// Over the right child's own column space.
         right_keys: Vec<BoundExpr>,
+        preds: Vec<BoundExpr>,
     },
+    /// Nested-loop join: every row pair for which all `preds` (over the
+    /// joined layout) hold; a cross product when `preds` is empty.
     CrossJoin {
         left: Box<PhysOp>,
         right: Box<PhysOp>,
+        preds: Vec<BoundExpr>,
     },
 }
 
-/// Build the physical join tree for a plan's FROM + WHERE.
-pub fn plan_joins(ctx: &EngineCtx<'_>, plan: &BoundSelect) -> SqlResult<(PhysOp, Vec<BoundExpr>)> {
-    if plan.from.is_empty() {
-        return Err(SqlError::execution("cannot plan joins for a FROM-less select"));
-    }
-    // Column offsets of each FROM item in the global input schema.
-    let mut offsets = Vec::with_capacity(plan.from.len());
-    let mut acc = 0usize;
-    for f in &plan.from {
-        offsets.push(acc);
-        acc += f.schema().len();
-    }
-    let widths: Vec<usize> = plan.from.iter().map(|f| f.schema().len()).collect();
+/// A plan's join/scan tree lowered from the shared [`JoinPlan`], plus what
+/// runs between the tree and the post-join stages.
+#[derive(Debug)]
+pub struct PhysPlan {
+    /// Boxed so node keys ([`op_key`]) survive moves of the plan.
+    pub tree: Box<PhysOp>,
+    /// FROM-layout column `i` is column `permutation[i]` of the tree's
+    /// output; `None` when the join order is the FROM order.
+    pub permutation: Option<Vec<usize>>,
+    /// Conjuncts with subqueries, applied over the FROM layout.
+    pub residual: Vec<BoundExpr>,
+    /// Planner row estimates by node key ([`op_key`]).
+    pub estimates: HashMap<usize, f64>,
+}
 
-    let mut conjuncts = Vec::new();
-    if let Some(f) = &plan.filter {
-        split_conjuncts(f, &mut conjuncts);
-    }
-    let mut used = vec![false; conjuncts.len()];
-
-    // Base relations with pushed-down filters / injected index scans.
-    let mut relations: Vec<PhysOp> = Vec::new();
-    for (ri, f) in plan.from.iter().enumerate() {
-        let (lo, hi) = (offsets[ri], offsets[ri] + widths[ri]);
-        let mut base = base_relation(f)?;
-        // Gather this relation's own conjuncts (no subqueries, columns all
-        // local).
-        let mut local: Vec<(usize, BoundExpr)> = Vec::new();
-        for (ci, c) in conjuncts.iter().enumerate() {
-            if used[ci] || c.is_complex() {
-                continue;
-            }
-            let mut cols = Vec::new();
-            c.collect_columns(&mut cols);
-            if !cols.is_empty() && cols.iter().all(|&x| x >= lo && x < hi) {
-                local.push((ci, remap_columns(c, lo)));
-            }
-        }
-        // Try index-scan injection on base tables.
-        if let BoundFrom::Table { name, .. } = f {
-            let mut injected_at: Option<usize> = None;
-            for (pos, (_, c)) in local.iter().enumerate() {
-                if let Some(op) = match_index_pattern(ctx, name, c)? {
-                    base = op;
-                    injected_at = Some(pos);
-                    *ctx.used_index_scan.borrow_mut() = true;
-                    break;
-                }
-            }
-            if let Some(pos) = injected_at {
-                let (ci, _) = local.remove(pos);
-                used[ci] = true;
-            }
-        }
-        for (ci, c) in local {
-            used[ci] = true;
-            base = PhysOp::Filter { pred: c, child: Box::new(base) };
-        }
-        relations.push(base);
-    }
-
-    // Left-deep joins in FROM order, picking up equality keys.
-    let mut tree = relations.remove(0);
-    let mut width = widths[0];
-    for (ri, rel) in relations.into_iter().enumerate() {
-        let ri = ri + 1;
-        let (rlo, rhi) = (offsets[ri], offsets[ri] + widths[ri]);
-        let mut lkeys = Vec::new();
-        let mut rkeys = Vec::new();
-        for (ci, c) in conjuncts.iter().enumerate() {
-            if used[ci] || c.is_complex() {
-                continue;
-            }
-            if let BoundExpr::Compare { op: BinaryOp::Eq, left, right } = c {
-                let (mut lc, mut rc) = (Vec::new(), Vec::new());
-                left.collect_columns(&mut lc);
-                right.collect_columns(&mut rc);
-                let in_left = |cols: &[usize]| !cols.is_empty() && cols.iter().all(|&x| x < width);
-                let in_right =
-                    |cols: &[usize]| !cols.is_empty() && cols.iter().all(|&x| x >= rlo && x < rhi);
-                if in_left(&lc) && in_right(&rc) {
-                    lkeys.push((**left).clone());
-                    rkeys.push(remap_columns(right, rlo));
-                    used[ci] = true;
-                } else if in_right(&lc) && in_left(&rc) {
-                    lkeys.push((**right).clone());
-                    rkeys.push(remap_columns(left, rlo));
-                    used[ci] = true;
-                }
-            }
-        }
-        tree = if lkeys.is_empty() {
-            PhysOp::CrossJoin { left: Box::new(tree), right: Box::new(rel) }
+/// Lower the shared join plan of a SELECT to a physical tree. The
+/// engine's hook is §4.3 index-scan injection: a base table's local
+/// `column && constant` filter becomes a scan of its TRTREE index.
+pub fn physical_plan(ctx: &EngineCtx<'_>, plan: &BoundSelect) -> SqlResult<PhysPlan> {
+    let table_rows = |name: &str| ctx.catalog.get(name).ok().map(|t| t.read().row_count());
+    let jp = JoinPlan::new(plan, &table_rows)?;
+    let mut estimates = HashMap::new();
+    let mut tree = scan_tree(ctx, &plan.from[jp.first.rel], &jp.first, &mut estimates)?;
+    for step in jp.steps {
+        let right = scan_tree(ctx, &plan.from[step.right.rel], &step.right, &mut estimates)?;
+        let (left_keys, right_keys) = step.keys.into_iter().unzip::<_, _, Vec<_>, Vec<_>>();
+        tree = Box::new(if left_keys.is_empty() {
+            PhysOp::CrossJoin { left: tree, right, preds: step.preds }
         } else {
-            PhysOp::HashJoin {
-                left: Box::new(tree),
-                right: Box::new(rel),
-                left_keys: lkeys,
-                right_keys: rkeys,
-            }
-        };
-        width = rhi;
-        // Apply every remaining simple conjunct that is now fully covered.
-        for (ci, c) in conjuncts.iter().enumerate() {
-            if used[ci] || c.is_complex() {
-                continue;
-            }
-            let mut cols = Vec::new();
-            c.collect_columns(&mut cols);
-            if cols.iter().all(|&x| x < width) {
-                used[ci] = true;
-                tree = PhysOp::Filter { pred: c.clone(), child: Box::new(tree) };
+            PhysOp::HashJoin { left: tree, right, left_keys, right_keys, preds: step.preds }
+        });
+        estimates.insert(op_key(&tree), step.est_rows);
+    }
+    Ok(PhysPlan { tree, permutation: jp.permutation, residual: jp.residual, estimates })
+}
+
+/// One FROM item's scan with its local filters stacked on top.
+fn scan_tree(
+    ctx: &EngineCtx<'_>,
+    from: &BoundFrom,
+    scan: &ScanNode,
+    estimates: &mut HashMap<usize, f64>,
+) -> SqlResult<Box<PhysOp>> {
+    let mut filters = scan.filters.clone();
+    let mut est = scan.base_rows;
+    let mut base = base_relation(from)?;
+    if let BoundFrom::Table { name, .. } = from {
+        for pos in 0..filters.len() {
+            if let Some(op) = match_index_pattern(ctx, name, &filters[pos])? {
+                est *= selectivity(&filters.remove(pos));
+                base = op;
+                break;
             }
         }
     }
-    // Anything left (complex predicates with subqueries) runs on top.
-    let remaining: Vec<BoundExpr> = conjuncts
-        .into_iter()
-        .zip(used)
-        .filter(|(_, u)| !u)
-        .map(|(c, _)| c)
-        .collect();
-    Ok((tree, remaining))
+    let mut node = Box::new(base);
+    estimates.insert(op_key(&node), est);
+    for pred in filters {
+        est *= selectivity(&pred);
+        node = Box::new(PhysOp::Filter { pred, child: node });
+        estimates.insert(op_key(&node), est);
+    }
+    Ok(node)
 }
 
 fn base_relation(f: &BoundFrom) -> SqlResult<PhysOp> {
@@ -498,53 +442,6 @@ fn match_index_pattern(
         }
     }
     Ok(None)
-}
-
-/// Rewrite column indices down by `offset` (push a predicate below a join).
-fn remap_columns(e: &BoundExpr, offset: usize) -> BoundExpr {
-    use BoundExpr::*;
-    match e {
-        ColumnRef { index, ty } => ColumnRef { index: index - offset, ty: ty.clone() },
-        Call { name, func, args, ty, strict } => Call {
-            name: name.clone(),
-            func: func.clone(),
-            args: args.iter().map(|a| remap_columns(a, offset)).collect(),
-            ty: ty.clone(),
-            strict: *strict,
-        },
-        Compare { op, left, right } => Compare {
-            op: *op,
-            left: Box::new(remap_columns(left, offset)),
-            right: Box::new(remap_columns(right, offset)),
-        },
-        Arith { op, left, right, ty } => Arith {
-            op: *op,
-            left: Box::new(remap_columns(left, offset)),
-            right: Box::new(remap_columns(right, offset)),
-            ty: ty.clone(),
-        },
-        And(es) => And(es.iter().map(|x| remap_columns(x, offset)).collect()),
-        Or(es) => Or(es.iter().map(|x| remap_columns(x, offset)).collect()),
-        Not(x) => Not(Box::new(remap_columns(x, offset))),
-        IsNull { expr, negated } => {
-            IsNull { expr: Box::new(remap_columns(expr, offset)), negated: *negated }
-        }
-        InList { expr, list, negated } => InList {
-            expr: Box::new(remap_columns(expr, offset)),
-            list: list.iter().map(|x| remap_columns(x, offset)).collect(),
-            negated: *negated,
-        },
-        Case { operand, branches, else_expr, ty } => Case {
-            operand: operand.as_ref().map(|o| Box::new(remap_columns(o, offset))),
-            branches: branches
-                .iter()
-                .map(|(c, v)| (remap_columns(c, offset), remap_columns(v, offset)))
-                .collect(),
-            else_expr: else_expr.as_ref().map(|x| Box::new(remap_columns(x, offset))),
-            ty: ty.clone(),
-        },
-        other => other.clone(),
-    }
 }
 
 // ------------------------------------------------------------ execution
@@ -760,15 +657,15 @@ fn run_op(
             let input = execute_op(ctx, child, outer)?;
             filter_chunks(ctx, input, pred, outer, &exec, op_key(op))
         }
-        PhysOp::CrossJoin { left, right } => {
+        PhysOp::CrossJoin { left, right, preds } => {
             let l = execute_op(ctx, left, outer)?;
             let r = execute_op(ctx, right, outer)?;
-            cross_join(ctx, &l, &r, op_key(op))
+            nested_loop_join(ctx, &l, &r, preds, outer, &exec, op_key(op))
         }
-        PhysOp::HashJoin { left, right, left_keys, right_keys } => {
+        PhysOp::HashJoin { left, right, left_keys, right_keys, preds } => {
             let l = execute_op(ctx, left, outer)?;
             let r = execute_op(ctx, right, outer)?;
-            hash_join(ctx, &l, &r, left_keys, right_keys, outer, &exec, op_key(op))
+            hash_join(ctx, &l, &r, left_keys, right_keys, preds, outer, &exec, op_key(op))
         }
     }
 }
@@ -874,42 +771,177 @@ fn chunk_types(chunks: &Chunks) -> Vec<LogicalType> {
         .unwrap_or_default()
 }
 
-fn cross_join(ctx: &EngineCtx<'_>, l: &Chunks, r: &Chunks, key: usize) -> SqlResult<Chunks> {
-    let rtypes = chunk_types(r);
-    let rflat = flatten(r, rtypes);
-    // The flattened build side is a fresh buffer; output chunks are
-    // charged as they are produced so a runaway product trips the memory
-    // limit (or the row budget, whichever is tighter) mid-flight.
-    ctx.charge_op_mem(key, rflat.approx_bytes())?;
-    let mut out = Chunks::default();
-    for lchunk in &l.chunks {
-        // For each left row, repeat it against every right row. The guard
-        // is charged per output chunk.
-        let mut lsel = Vec::new();
-        let mut rsel = Vec::new();
-        for li in 0..lchunk.len {
-            for ri in 0..rflat.len {
-                lsel.push(li);
-                rsel.push(ri);
-                if lsel.len() >= VECTOR_SIZE {
-                    ctx.guard.check_rows(lsel.len())?;
-                    let chunk = combine(lchunk, &lsel, &rflat, &rsel);
-                    ctx.charge_op_mem(key, chunk.approx_bytes())?;
-                    out.chunks.push(chunk);
-                    lsel.clear();
-                    rsel.clear();
-                }
-            }
-        }
-        if !lsel.is_empty() {
-            ctx.guard.check_rows(lsel.len())?;
-            let chunk = combine(lchunk, &lsel, &rflat, &rsel);
-            ctx.charge_op_mem(key, chunk.approx_bytes())?;
-            out.chunks.push(chunk);
+/// Two input chunks a run of candidate pairs comes from, each with the
+/// join predicates' side expressions evaluated over it.
+struct PairInputs<'x> {
+    l: &'x DataChunk,
+    r: &'x DataChunk,
+    l_side: &'x DataChunk,
+    r_side: &'x DataChunk,
+}
+
+/// Collects a join's (left row, right row) pairs. Candidates are tested
+/// against the join's predicates a block of `VECTOR_SIZE` at a time (one
+/// guard tick per block), on a narrow pair chunk gathered from the side
+/// expressions; survivors are materialized into output chunks, each
+/// charged to the row budget and the memory guard as it is built.
+struct PairSink<'a> {
+    ctx: &'a EngineCtx<'a>,
+    outer: &'a OuterStack<'a>,
+    exec: &'a dyn SubqueryExec,
+    key: usize,
+    sided: SidedPreds,
+    cand: (Vec<usize>, Vec<usize>),
+    keep: (Vec<usize>, Vec<usize>),
+    out: Chunks,
+}
+
+impl<'a> PairSink<'a> {
+    fn new(
+        ctx: &'a EngineCtx<'a>,
+        outer: &'a OuterStack<'a>,
+        exec: &'a dyn SubqueryExec,
+        key: usize,
+        sided: SidedPreds,
+    ) -> Self {
+        PairSink {
+            ctx,
+            outer,
+            exec,
+            key,
+            sided,
+            cand: Default::default(),
+            keep: Default::default(),
+            out: Chunks::default(),
         }
     }
-    mduck_obs::metrics().rows_joined.inc(out.row_count() as u64);
-    Ok(out)
+
+    /// Evaluate one side's expressions over an input chunk.
+    fn side(&self, exprs: &[BoundExpr], chunk: &DataChunk) -> SqlResult<DataChunk> {
+        let cols: SqlResult<Vec<ColumnData>> =
+            exprs.iter().map(|e| eval_vector(e, chunk, self.outer, self.exec)).collect();
+        Ok(DataChunk { columns: cols?, len: chunk.len })
+    }
+
+    fn left_side(&self, l: &DataChunk) -> SqlResult<DataChunk> {
+        self.side(&self.sided.left, l)
+    }
+
+    fn right_side(&self, r: &DataChunk) -> SqlResult<DataChunk> {
+        self.side(&self.sided.right, r)
+    }
+
+    /// Offer row `li` of `inp.l` paired with row `ri` of `inp.r`. Every
+    /// pair offered until the next [`PairSink::finish_inputs`] must come
+    /// from the same inputs.
+    fn push(&mut self, inp: &PairInputs<'_>, li: usize, ri: usize) -> SqlResult<()> {
+        if self.sided.preds.is_empty() {
+            self.keep.0.push(li);
+            self.keep.1.push(ri);
+            if self.keep.0.len() >= VECTOR_SIZE {
+                self.emit(inp)?;
+            }
+        } else {
+            self.cand.0.push(li);
+            self.cand.1.push(ri);
+            if self.cand.0.len() >= VECTOR_SIZE {
+                self.test(inp)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Test the buffered candidates; keep those every predicate accepts.
+    fn test(&mut self, inp: &PairInputs<'_>) -> SqlResult<()> {
+        self.ctx.guard.tick()?;
+        let (cl, cr) = std::mem::take(&mut self.cand);
+        let mut cur = combine(inp.l_side, &cl, inp.r_side, &cr);
+        // Positions in the candidate block still alive.
+        let mut alive: Vec<usize> = (0..cur.len).collect();
+        for pred in &self.sided.preds {
+            let sel = filter_chunk(pred, &cur, self.outer, self.exec)?;
+            if sel.len() < cur.len {
+                alive = sel.iter().map(|&k| alive[k]).collect();
+                if alive.is_empty() {
+                    break;
+                }
+                cur = cur.select(&sel);
+            }
+        }
+        for k in alive {
+            self.keep.0.push(cl[k]);
+            self.keep.1.push(cr[k]);
+            if self.keep.0.len() >= VECTOR_SIZE {
+                self.emit(inp)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Materialize the kept pairs as one output chunk.
+    fn emit(&mut self, inp: &PairInputs<'_>) -> SqlResult<()> {
+        if self.keep.0.is_empty() {
+            return Ok(());
+        }
+        self.ctx.guard.check_rows(self.keep.0.len())?;
+        let chunk = combine(inp.l, &self.keep.0, inp.r, &self.keep.1);
+        self.ctx.charge_op_mem(self.key, chunk.approx_bytes())?;
+        self.out.chunks.push(chunk);
+        self.keep.0.clear();
+        self.keep.1.clear();
+        Ok(())
+    }
+
+    /// Flush everything buffered for `inp` before other inputs are
+    /// offered.
+    fn finish_inputs(&mut self, inp: &PairInputs<'_>) -> SqlResult<()> {
+        if !self.cand.0.is_empty() {
+            self.test(inp)?;
+        }
+        self.emit(inp)
+    }
+
+    fn finish(self) -> Chunks {
+        mduck_obs::metrics().rows_joined.inc(self.out.row_count() as u64);
+        self.out
+    }
+}
+
+/// Nested-loop join of every left row with every right row, keeping the
+/// pairs `preds` accept; a plain cross product when `preds` is empty.
+/// Every left row meets every right row, so each one-side subexpression of
+/// the predicates is computed once per input row, not per pair (DuckDB's
+/// nested-loop join likewise evaluates each side of a join condition once
+/// per chunk).
+fn nested_loop_join(
+    ctx: &EngineCtx<'_>,
+    l: &Chunks,
+    r: &Chunks,
+    preds: &[BoundExpr],
+    outer: &OuterStack<'_>,
+    exec: &dyn SubqueryExec,
+    key: usize,
+) -> SqlResult<Chunks> {
+    if l.row_count() == 0 || r.row_count() == 0 {
+        return Ok(Chunks::default());
+    }
+    let rflat = flatten(r, chunk_types(r));
+    // The flattened right side is a fresh buffer.
+    ctx.charge_op_mem(key, rflat.approx_bytes())?;
+    let sided = SidedPreds::new(preds, l.num_columns(), true);
+    let mut sink = PairSink::new(ctx, outer, exec, key, sided);
+    let r_side = sink.right_side(&rflat)?;
+    for lchunk in &l.chunks {
+        let l_side = sink.left_side(lchunk)?;
+        let inp = PairInputs { l: lchunk, r: &rflat, l_side: &l_side, r_side: &r_side };
+        for li in 0..lchunk.len {
+            for ri in 0..rflat.len {
+                sink.push(&inp, li, ri)?;
+            }
+        }
+        sink.finish_inputs(&inp)?;
+    }
+    Ok(sink.finish())
 }
 
 fn combine(l: &DataChunk, lsel: &[usize], r: &DataChunk, rsel: &[usize]) -> DataChunk {
@@ -920,9 +952,39 @@ fn combine(l: &DataChunk, lsel: &[usize], r: &DataChunk, rsel: &[usize]) -> Data
     for c in &r.columns {
         cols.push(c.gather(rsel));
     }
-    DataChunk::from_columns(cols)
+    DataChunk { columns: cols, len: lsel.len() }
 }
 
+/// Each row's serialized join key, `None` where a key is NULL (NULL never
+/// joins).
+fn row_keys(
+    chunk: &DataChunk,
+    keys: &[BoundExpr],
+    outer: &OuterStack<'_>,
+    exec: &dyn SubqueryExec,
+) -> SqlResult<Vec<Option<Vec<u8>>>> {
+    let key_cols: SqlResult<Vec<ColumnData>> =
+        keys.iter().map(|k| eval_vector(k, chunk, outer, exec)).collect();
+    let key_cols = key_cols?;
+    Ok((0..chunk.len)
+        .map(|i| {
+            let mut key = Vec::new();
+            for kc in &key_cols {
+                let v = kc.get(i);
+                if v.is_null() {
+                    return None;
+                }
+                v.hash_key(&mut key);
+            }
+            Some(key)
+        })
+        .collect())
+}
+
+/// Hash join on the keys, building on the input with fewer rows; the
+/// placed `preds` are checked on each key match, on just the columns they
+/// read, before it is materialized. Output columns are the left's, then
+/// the right's.
 #[allow(clippy::too_many_arguments)]
 fn hash_join(
     ctx: &EngineCtx<'_>,
@@ -930,91 +992,52 @@ fn hash_join(
     r: &Chunks,
     left_keys: &[BoundExpr],
     right_keys: &[BoundExpr],
+    preds: &[BoundExpr],
     outer: &OuterStack<'_>,
     exec: &dyn SubqueryExec,
     key_op: usize,
 ) -> SqlResult<Chunks> {
-    // Build on the right side. The flattened build chunk plus a rough
-    // per-entry estimate for the hash table itself are charged up front —
-    // the build side is the operator's dominant allocation.
-    let rtypes = chunk_types(r);
-    let rflat = flatten(r, rtypes);
-    ctx.charge_op_mem(key_op, rflat.approx_bytes() + rflat.len as u64 * 48)?;
-    let mut table: HashMap<Vec<u8>, Vec<usize>> = HashMap::with_capacity(rflat.len);
-    if rflat.len > 0 {
-        let key_cols: SqlResult<Vec<ColumnData>> = right_keys
-            .iter()
-            .map(|k| eval_vector(k, &rflat, outer, exec))
-            .collect();
-        let key_cols = key_cols?;
-        let mut key = Vec::new();
-        for i in 0..rflat.len {
-            key.clear();
-            let mut has_null = false;
-            for kc in &key_cols {
-                let v = kc.get(i);
-                if v.is_null() {
-                    has_null = true;
-                    break;
-                }
-                v.hash_key(&mut key);
-            }
-            if !has_null {
-                table.entry(key.clone()).or_default().push(i);
-            }
+    if l.row_count() == 0 || r.row_count() == 0 {
+        return Ok(Chunks::default());
+    }
+    let build_left = l.row_count() < r.row_count();
+    let (build, build_keys, probe, probe_keys) =
+        if build_left { (l, left_keys, r, right_keys) } else { (r, right_keys, l, left_keys) };
+    // The flattened build chunk plus a rough per-entry estimate for the
+    // hash table itself are charged up front — the build side is the
+    // operator's dominant allocation.
+    let flat = flatten(build, chunk_types(build));
+    ctx.charge_op_mem(key_op, flat.approx_bytes() + flat.len as u64 * 48)?;
+    let mut table: HashMap<Vec<u8>, Vec<usize>> = HashMap::with_capacity(flat.len);
+    for (i, key) in row_keys(&flat, build_keys, outer, exec)?.into_iter().enumerate() {
+        if let Some(key) = key {
+            table.entry(key).or_default().push(i);
         }
     }
-    let mut out = Chunks::default();
-    for lchunk in &l.chunks {
-        if lchunk.len == 0 {
-            continue;
-        }
-        let key_cols: SqlResult<Vec<ColumnData>> = left_keys
-            .iter()
-            .map(|k| eval_vector(k, lchunk, outer, exec))
-            .collect();
-        let key_cols = key_cols?;
-        let mut lsel = Vec::new();
-        let mut rsel = Vec::new();
-        let mut key = Vec::new();
-        for i in 0..lchunk.len {
-            key.clear();
-            let mut has_null = false;
-            for kc in &key_cols {
-                let v = kc.get(i);
-                if v.is_null() {
-                    has_null = true;
-                    break;
-                }
-                v.hash_key(&mut key);
-            }
-            if has_null {
-                continue;
-            }
-            if let Some(matches) = table.get(&key) {
-                for &ri in matches {
-                    lsel.push(i);
-                    rsel.push(ri);
-                    if lsel.len() >= VECTOR_SIZE {
-                        ctx.guard.check_rows(lsel.len())?;
-                        let chunk = combine(lchunk, &lsel, &rflat, &rsel);
-                        ctx.charge_op_mem(key_op, chunk.approx_bytes())?;
-                        out.chunks.push(chunk);
-                        lsel.clear();
-                        rsel.clear();
-                    }
+    let sided = SidedPreds::new(preds, l.num_columns(), false);
+    let mut sink = PairSink::new(ctx, outer, exec, key_op, sided);
+    let flat_side =
+        if build_left { sink.left_side(&flat)? } else { sink.right_side(&flat)? };
+    for chunk in probe.chunks.iter().filter(|c| c.len > 0) {
+        let chunk_side = if build_left { sink.right_side(chunk)? } else { sink.left_side(chunk)? };
+        let inp = if build_left {
+            PairInputs { l: &flat, r: chunk, l_side: &flat_side, r_side: &chunk_side }
+        } else {
+            PairInputs { l: chunk, r: &flat, l_side: &chunk_side, r_side: &flat_side }
+        };
+        for (i, key) in row_keys(chunk, probe_keys, outer, exec)?.into_iter().enumerate() {
+            let Some(matches) = key.and_then(|k| table.get(&k)) else { continue };
+            for &b in matches {
+                if build_left {
+                    sink.push(&inp, b, i)?;
+                } else {
+                    sink.push(&inp, i, b)?;
                 }
             }
         }
-        if !lsel.is_empty() {
-            ctx.guard.check_rows(lsel.len())?;
-            let chunk = combine(lchunk, &lsel, &rflat, &rsel);
-            ctx.charge_op_mem(key_op, chunk.approx_bytes())?;
-            out.chunks.push(chunk);
-        }
+        sink.finish_inputs(&inp)?;
     }
-    mduck_obs::metrics().rows_joined.inc(out.row_count() as u64);
-    Ok(out)
+    Ok(sink.finish())
 }
 
 // ------------------------------------------------------------ full select
@@ -1034,17 +1057,16 @@ pub fn execute_select(
 pub fn execute_select_planned(
     ctx: &EngineCtx<'_>,
     plan: &BoundSelect,
-    tree: &PhysOp,
-    remaining: &[BoundExpr],
+    phys: &PhysPlan,
     outer: &OuterStack<'_>,
 ) -> SqlResult<Vec<Vec<Value>>> {
-    execute_select_inner(ctx, plan, Some((tree, remaining)), outer)
+    execute_select_inner(ctx, plan, Some(phys), outer)
 }
 
 fn execute_select_inner(
     ctx: &EngineCtx<'_>,
     plan: &BoundSelect,
-    planned: Option<(&PhysOp, &[BoundExpr])>,
+    planned: Option<&PhysPlan>,
     outer: &OuterStack<'_>,
 ) -> SqlResult<Vec<Vec<Value>>> {
     let exec = PlanExecutor { ctx };
@@ -1055,12 +1077,20 @@ fn execute_select_inner(
     //    them by running a counter alongside.
     materialize_ctes(ctx, plan, outer)?;
 
-    // 2. Input relation.
-    let run_tree = |tree: &PhysOp, remaining: &[BoundExpr]| -> SqlResult<Chunks> {
-        let mut chunks = execute_op(ctx, tree, outer)?;
-        if !remaining.is_empty() {
+    // 2. Input relation: the join tree's output back in the FROM column
+    //    layout, then the residual (subquery-bearing) conjuncts.
+    let run_tree = |phys: &PhysPlan| -> SqlResult<Chunks> {
+        let mut chunks = execute_op(ctx, &phys.tree, outer)?;
+        if let Some(perm) = &phys.permutation {
+            for chunk in &mut chunks.chunks {
+                let mut cols: Vec<Option<ColumnData>> =
+                    std::mem::take(&mut chunk.columns).into_iter().map(Some).collect();
+                chunk.columns = perm.iter().filter_map(|&i| cols[i].take()).collect();
+            }
+        }
+        if !phys.residual.is_empty() {
             let t = Instant::now();
-            for pred in remaining {
+            for pred in &phys.residual {
                 chunks = filter_chunks(ctx, chunks, pred, outer, &exec, plan_key(plan))?;
             }
             ctx.record_stage(plan, "filter", t, chunks.row_count());
@@ -1074,11 +1104,8 @@ fn execute_select_inner(
         c
     } else {
         match planned {
-            Some((tree, remaining)) => run_tree(tree, remaining)?,
-            None => {
-                let (tree, remaining) = plan_joins(ctx, plan)?;
-                run_tree(&tree, &remaining)?
-            }
+            Some(phys) => run_tree(phys)?,
+            None => run_tree(&physical_plan(ctx, plan)?)?,
         }
     };
 

@@ -4,9 +4,11 @@
 //! execution [`Profile`]: per-operator exclusive wall time, input/output
 //! cardinalities, and chunk counts for the vectorized pipeline.
 
-use mduck_sql::{BoundExpr, BoundSelect, SortKey};
+use std::collections::HashMap;
 
-use crate::exec::{op_key, op_name, PhysOp, Profile};
+use mduck_sql::{BoundSelect, SortKey};
+
+use crate::exec::{op_key, op_name, PhysOp, PhysPlan, Profile};
 
 const BOX_WIDTH: usize = 29;
 
@@ -22,26 +24,20 @@ pub struct AnalyzeData<'a> {
 }
 
 /// Render the full plan (post-join stages plus the join/scan tree).
-pub fn render_plan(plan: &BoundSelect, tree: &PhysOp, remaining: &[BoundExpr]) -> String {
-    render(plan, tree, remaining, None)
+pub fn render_plan(plan: &BoundSelect, phys: &PhysPlan) -> String {
+    render(plan, phys, None)
 }
 
 /// Render the plan annotated with actuals (`EXPLAIN ANALYZE`).
 pub fn render_plan_analyzed(
     plan: &BoundSelect,
-    tree: &PhysOp,
-    remaining: &[BoundExpr],
+    phys: &PhysPlan,
     analyze: &AnalyzeData<'_>,
 ) -> String {
-    render(plan, tree, remaining, Some(analyze))
+    render(plan, phys, Some(analyze))
 }
 
-fn render(
-    plan: &BoundSelect,
-    tree: &PhysOp,
-    remaining: &[BoundExpr],
-    analyze: Option<&AnalyzeData<'_>>,
-) -> String {
+fn render(plan: &BoundSelect, phys: &PhysPlan, analyze: Option<&AnalyzeData<'_>>) -> String {
     // (title, detail, stage-profile name)
     let mut nodes: Vec<(String, Vec<String>, Option<&'static str>)> = Vec::new();
     if plan.limit.is_some() || plan.offset.is_some() {
@@ -82,7 +78,7 @@ fn render(
         detail.extend(plan.aggregates.iter().map(|a| format!("{a:?}")));
         nodes.push(("HASH_GROUP_BY".into(), detail, Some("aggregate")));
     }
-    for (i, pred) in remaining.iter().enumerate() {
+    for (i, pred) in phys.residual.iter().enumerate() {
         // The "filter" stage times all remaining predicates together;
         // attach it to the first box only.
         let stage = (i == 0).then_some("filter");
@@ -100,7 +96,7 @@ fn render(
         }
         push_box(&mut out, &name, &detail, true);
     }
-    render_op(&mut out, tree, analyze);
+    render_op(&mut out, &phys.tree, &phys.estimates, analyze);
     out
 }
 
@@ -142,7 +138,7 @@ fn par_lines(profile: &Profile, key: usize, stage: &'static str) -> Vec<String> 
 fn op_children(op: &PhysOp) -> Vec<&PhysOp> {
     match op {
         PhysOp::Filter { child, .. } => vec![child],
-        PhysOp::HashJoin { left, right, .. } | PhysOp::CrossJoin { left, right } => {
+        PhysOp::HashJoin { left, right, .. } | PhysOp::CrossJoin { left, right, .. } => {
             vec![left, right]
         }
         _ => Vec::new(),
@@ -190,7 +186,12 @@ fn op_lines(a: &AnalyzeData<'_>, op: &PhysOp) -> Vec<String> {
     lines
 }
 
-fn render_op(out: &mut String, op: &PhysOp, analyze: Option<&AnalyzeData<'_>>) {
+fn render_op(
+    out: &mut String,
+    op: &PhysOp,
+    estimates: &HashMap<usize, f64>,
+    analyze: Option<&AnalyzeData<'_>>,
+) {
     let (title, mut detail, has_child): (&str, Vec<String>, bool) = match op {
         PhysOp::SeqScan { table } => ("SEQ_SCAN", vec![table.clone()], false),
         PhysOp::IndexScan { table, index, op, .. } => (
@@ -205,34 +206,41 @@ fn render_op(out: &mut String, op: &PhysOp, analyze: Option<&AnalyzeData<'_>>) {
         PhysOp::ProgressScan { .. } => ("PROGRESS_SCAN", vec!["mduck_progress()".into()], false),
         PhysOp::QueryLogScan { .. } => ("QUERY_LOG_SCAN", vec!["mduck_query_log()".into()], false),
         PhysOp::Filter { pred, .. } => ("FILTER", vec![format!("{pred:?}")], true),
-        PhysOp::HashJoin { left_keys, right_keys, .. } => (
+        PhysOp::HashJoin { left_keys, right_keys, preds, .. } => (
             "HASH_JOIN",
             left_keys
                 .iter()
                 .zip(right_keys)
                 .map(|(l, r)| format!("{l:?} = {r:?}"))
+                .chain(preds.iter().map(|p| format!("{p:?}")))
                 .collect(),
             true,
         ),
-        PhysOp::CrossJoin { .. } => ("CROSS_PRODUCT", vec![], true),
+        PhysOp::CrossJoin { preds, .. } => {
+            ("CROSS_PRODUCT", preds.iter().map(|p| format!("{p:?}")).collect(), true)
+        }
     };
-    if let Some(a) = analyze {
-        detail.extend(op_lines(a, op));
+    let est = estimates.get(&op_key(op)).map(|e| format!("est: {} rows", e.round().max(1.0)));
+    match analyze {
+        Some(a) => {
+            // The estimate goes right after the actual rows line.
+            let mut lines = op_lines(a, op);
+            if let Some(est) = est {
+                lines.insert(lines.len().min(2), est);
+            }
+            detail.extend(lines);
+        }
+        None => detail.extend(est),
     }
     push_box(out, title, &detail, has_child);
     match op {
-        PhysOp::Filter { child, .. } => render_op(out, child, analyze),
-        PhysOp::HashJoin { left, right, .. } => {
+        PhysOp::Filter { child, .. } => render_op(out, child, estimates, analyze),
+        PhysOp::HashJoin { left, right, .. } | PhysOp::CrossJoin { left, right, .. } => {
             // Render children sequentially (left above right) with a
             // divider — a readable simplification of DuckDB's 2-D layout.
-            render_op(out, left, analyze);
-            out.push_str(&format!("{:^width$}\n", "──── build side ────", width = BOX_WIDTH + 2));
-            render_op(out, right, analyze);
-        }
-        PhysOp::CrossJoin { left, right } => {
-            render_op(out, left, analyze);
+            render_op(out, left, estimates, analyze);
             out.push_str(&format!("{:^width$}\n", "──── right side ────", width = BOX_WIDTH + 2));
-            render_op(out, right, analyze);
+            render_op(out, right, estimates, analyze);
         }
         _ => {}
     }

@@ -28,9 +28,10 @@ echo "== parallel execution matrix =="
 # MDUCK_THREADS overrides the auto-detected worker count, so the matrix
 # exercises both the serial path (threads=1) and a real worker pool
 # (threads=4) regardless of the host's core count. The differential
-# suite itself also pins thread counts per-connection via set_threads.
-MDUCK_THREADS=1 cargo test -q -p mduck-integration --test parallel_exec
-MDUCK_THREADS=4 cargo test -q -p mduck-integration --test parallel_exec
+# suites themselves also pin thread counts per-connection via
+# set_threads; join_order checks that no FROM order changes a result.
+MDUCK_THREADS=1 cargo test -q -p mduck-integration --test parallel_exec --test join_order
+MDUCK_THREADS=4 cargo test -q -p mduck-integration --test parallel_exec --test join_order
 
 echo "== resource observability =="
 # Memory-limit trips, progress monotonicity, and the query-log contract

@@ -36,6 +36,45 @@ fn row_budget_stops_cross_join_blowup() {
 }
 
 #[test]
+fn theta_join_that_emits_nothing_still_stops() {
+    // No pair of the 5000 x 5000 satisfies the predicate, so the join
+    // never emits an output chunk: only its per-block guard tick can stop
+    // it. Unguarded, the 25M pairs take far longer than the limits below.
+    let setup = "CREATE TABLE l(a INTEGER);
+                 CREATE TABLE r(b INTEGER);
+                 INSERT INTO l SELECT * FROM generate_series(1, 5000);
+                 INSERT INTO r SELECT * FROM generate_series(1, 5000);";
+    let sql = "SELECT count(*) FROM l, r WHERE l.a + r.b < 0";
+    let db = Database::new();
+    db.execute_script(setup).unwrap();
+    db.set_exec_limits(ExecLimits::default().with_timeout(Duration::from_millis(20)));
+    assert_exhausted(db.execute(sql));
+
+    db.set_exec_limits(ExecLimits::default());
+    let guard = ExecGuard::new(&ExecLimits::default());
+    let handle = guard.cancel_handle();
+    let canceller = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(20));
+        handle.cancel();
+    });
+    let r = db.execute_with_guard(sql, &guard);
+    canceller.join().unwrap();
+    match r {
+        Err(SqlError::ResourceExhausted(msg)) => assert!(msg.contains("canceled"), "{msg}"),
+        other => panic!("expected cancellation, got {other:?}"),
+    }
+
+    // The row engine's nested loop ticks the guard per row pair.
+    let rdb = mduck_rowdb::RowDatabase::new();
+    rdb.execute_script(setup).unwrap();
+    rdb.set_exec_limits(ExecLimits::default().with_timeout(Duration::from_millis(20)));
+    match rdb.execute(sql) {
+        Err(SqlError::ResourceExhausted(_)) => {}
+        other => panic!("expected ResourceExhausted, got {other:?}"),
+    }
+}
+
+#[test]
 fn within_budget_queries_succeed() {
     let db = Database::new();
     db.set_exec_limits(ExecLimits::default().with_row_budget(100_000));

@@ -101,12 +101,14 @@ fn vec_explain_analyze_golden() {
         "(col#N > lit(Float(N)))",
         "actual: N ms",
         "rows: N → N",
+        "est: N rows",
         "chunks: N",
         "mem: NB",
         "SEQ_SCAN",
         "pts",
         "actual: N ms",
         "rows: N → N",
+        "est: N rows",
         "chunks: N",
         "mem: NB",
     ];
