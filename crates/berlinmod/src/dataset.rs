@@ -38,10 +38,11 @@ impl BerlinModData {
         let mut points = Vec::with_capacity(100);
         for _ in 0..100 {
             let t = &trips[rng.random_range(0..trips.len())];
-            let instants = t.trip.temp.instants();
-            let i = rng.random_range(0..instants.len());
-            points.push(
-                Geometry::from_point(instants[i].value).with_srid(NETWORK_SRID),
+            let i = rng.random_range(0..t.trip.temp.num_instants());
+            points.extend(
+                t.trip.temp.instants().nth(i).map(|at| {
+                    Geometry::from_point(at.value).with_srid(NETWORK_SRID)
+                }),
             );
         }
 

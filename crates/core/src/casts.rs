@@ -239,7 +239,7 @@ pub fn register_types_and_casts(reg: &mut Registry) {
         Ok(Value::blob(mduck_geo::wkb::to_wkb(g)))
     });
     reg.register_cast(LogicalType::Blob, LogicalType::ext("geometry"), |a| {
-        Ok(MdGeom(value_to_geometry(&a[0])?).into_value())
+        Ok(MdGeom(value_to_geometry(&a[0])?.into_owned()).into_value())
     });
     reg.register_cast(LogicalType::Text, LogicalType::Blob, |a| {
         // WKT text → WKB blob (used when VARCHAR stands in for geometry).

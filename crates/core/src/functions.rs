@@ -528,7 +528,7 @@ fn register_spatial_relationships(reg: &mut Registry) {
                 |args| {
                     let a = value_to_tgeom(&args[0])?;
                     let b = value_to_tgeom(&args[1])?;
-                    match a.tdwithin(&b, args[2].as_float()?) {
+                    match a.tdwithin(b, args[2].as_float()?) {
                         Some(t) => Ok(MdTBool(t).into_value()),
                         None => Ok(Value::Null),
                     }
@@ -542,7 +542,7 @@ fn register_spatial_relationships(reg: &mut Registry) {
                 |args| {
                     let a = value_to_tgeom(&args[0])?;
                     let b = value_to_tgeom(&args[1])?;
-                    Ok(Value::Bool(a.edwithin(&b, args[2].as_float()?)))
+                    Ok(Value::Bool(a.edwithin(b, args[2].as_float()?)))
                 },
             );
             reg.register_scalar(
@@ -552,7 +552,7 @@ fn register_spatial_relationships(reg: &mut Registry) {
                 |args| {
                     let a = value_to_tgeom(&args[0])?;
                     let b = value_to_tgeom(&args[1])?;
-                    Ok(Value::Bool(a.adwithin(&b, args[2].as_float()?)))
+                    Ok(Value::Bool(a.adwithin(b, args[2].as_float()?)))
                 },
             );
             // tdistance.
@@ -563,7 +563,7 @@ fn register_spatial_relationships(reg: &mut Registry) {
                 |args| {
                     let a = value_to_tgeom(&args[0])?;
                     let b = value_to_tgeom(&args[1])?;
-                    match a.tdistance(&b) {
+                    match a.tdistance(b) {
                         Some(t) => Ok(MdTFloat(t).into_value()),
                         None => Ok(Value::Null),
                     }
@@ -807,7 +807,7 @@ fn register_operators(reg: &mut Registry) {
             reg.register_scalar("<->", vec![a_ty.clone(), b_ty.clone()], LogicalType::Float, |a| {
                 let x = value_to_geometry(&a[0])?;
                 let y = value_to_geometry(&a[1])?;
-                Ok(Value::Float(algorithms::distance(&x, &y)))
+                Ok(Value::Float(algorithms::distance(&*x, &*y)))
             });
             reg.register_scalar("&&", vec![a_ty.clone(), b_ty.clone()], LogicalType::Bool, |a| {
                 let x = value_to_geometry(&a[0])?;
@@ -983,8 +983,8 @@ fn register_constructors(reg: &mut Registry) {
             let x = value_to_tgeom(&a[0])?;
             let y = value_to_tgeom(&a[1])?;
             let mut instants: Vec<TInstant<mduck_geo::Point>> =
-                x.temp.instants().into_iter().cloned().collect();
-            instants.extend(y.temp.instants().into_iter().cloned());
+                x.temp.instants().cloned().collect();
+            instants.extend(y.temp.instants().cloned());
             instants.sort_by_key(|i| i.t);
             instants.dedup_by(|a, b| a.t == b.t);
             let seq = TSequence::new(instants, true, true, Interp::Linear).map_err(to_exec)?;

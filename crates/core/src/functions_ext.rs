@@ -86,7 +86,7 @@ fn register_temporal_math(reg: &mut Registry) {
         let t = &a[0].ext_as::<MdTFloat>()?.0;
         let mut weighted = 0.0f64;
         let mut total = 0.0f64;
-        for s in t.as_sequences() {
+        for s in t.as_sequences().iter() {
             let inst = s.instants();
             if inst.len() == 1 {
                 continue;

@@ -128,11 +128,19 @@ impl<'a> Reader<'a> {
         Ok(Point { x, y })
     }
 
-    fn points(&mut self, le: bool) -> GeoResult<Vec<Point>> {
+    /// A member count that the remaining bytes can hold, each member taking
+    /// at least `min_bytes`; anything larger is rejected before it can size
+    /// an allocation.
+    fn count(&mut self, le: bool, min_bytes: usize, what: &str) -> GeoResult<usize> {
         let n = self.u32(le)? as usize;
-        if n > self.bytes.len() / 16 + 1 {
-            return Err(GeoError::ParseWkb(format!("implausible point count {n}")));
+        if n > (self.bytes.len() - self.pos) / min_bytes {
+            return Err(GeoError::ParseWkb(format!("implausible {what} count {n}")));
         }
+        Ok(n)
+    }
+
+    fn points(&mut self, le: bool) -> GeoResult<Vec<Point>> {
+        let n = self.count(le, 16, "point")?;
         let mut ps = Vec::with_capacity(n);
         for _ in 0..n {
             ps.push(self.point(le)?);
@@ -161,7 +169,7 @@ fn read_geom(r: &mut Reader<'_>, inherited_srid: i32) -> GeoResult<Geometry> {
         1 => GeomData::Point(r.point(le)?),
         2 => GeomData::LineString(r.points(le)?),
         3 => {
-            let n = r.u32(le)? as usize;
+            let n = r.count(le, 4, "ring")?;
             let mut rings = Vec::with_capacity(n);
             for _ in 0..n {
                 rings.push(r.points(le)?);
@@ -169,7 +177,7 @@ fn read_geom(r: &mut Reader<'_>, inherited_srid: i32) -> GeoResult<Geometry> {
             GeomData::Polygon(rings)
         }
         4 => {
-            let n = r.u32(le)? as usize;
+            let n = r.count(le, 21, "multipoint member")?;
             let mut ps = Vec::with_capacity(n);
             for _ in 0..n {
                 let child = read_geom(r, srid)?;
@@ -181,7 +189,7 @@ fn read_geom(r: &mut Reader<'_>, inherited_srid: i32) -> GeoResult<Geometry> {
             GeomData::MultiPoint(ps)
         }
         5 => {
-            let n = r.u32(le)? as usize;
+            let n = r.count(le, 9, "multilinestring member")?;
             let mut lines = Vec::with_capacity(n);
             for _ in 0..n {
                 let child = read_geom(r, srid)?;
@@ -197,7 +205,7 @@ fn read_geom(r: &mut Reader<'_>, inherited_srid: i32) -> GeoResult<Geometry> {
             GeomData::MultiLineString(lines)
         }
         7 => {
-            let n = r.u32(le)? as usize;
+            let n = r.count(le, 9, "collection member")?;
             let mut gs = Vec::with_capacity(n);
             for _ in 0..n {
                 gs.push(read_geom(r, srid)?);
@@ -262,6 +270,22 @@ mod tests {
         b.extend_from_slice(&2f64.to_be_bytes());
         let g = from_wkb(&b).unwrap();
         assert_eq!(g.as_point().unwrap(), Point::new(1.0, 2.0));
+    }
+
+    #[test]
+    fn oversized_member_counts_rejected() {
+        // A polygon claiming u32::MAX rings must fail with a typed error
+        // instead of reserving ~100 GB for them.
+        let mut b = vec![1u8];
+        b.extend_from_slice(&3u32.to_le_bytes());
+        b.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(from_wkb(&b), Err(GeoError::ParseWkb(_))));
+        for code in [4u32, 5, 7] {
+            let mut b = vec![1u8];
+            b.extend_from_slice(&code.to_le_bytes());
+            b.extend_from_slice(&u32::MAX.to_le_bytes());
+            assert!(matches!(from_wkb(&b), Err(GeoError::ParseWkb(_))), "type {code}");
+        }
     }
 
     #[test]

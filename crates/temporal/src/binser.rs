@@ -49,7 +49,7 @@ pub fn tgeompoint_to_bytes(t: &TGeomPoint) -> Vec<u8> {
         Temporal::SequenceSet(_) => 2,
     });
     out.extend_from_slice(&(seqs.len() as u32).to_le_bytes());
-    for s in &seqs {
+    for s in seqs.iter() {
         out.push(interp_tag(s.interp));
         out.push(s.lower_inc as u8);
         out.push(s.upper_inc as u8);

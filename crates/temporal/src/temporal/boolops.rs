@@ -33,12 +33,12 @@ impl TBool {
 
     /// Is the value ever `true`?
     pub fn ever_true(&self) -> bool {
-        self.instants().iter().any(|i| i.value)
+        self.instants().any(|i| i.value)
     }
 
     /// Is the value always `true`?
     pub fn always_true(&self) -> bool {
-        self.instants().iter().all(|i| i.value)
+        self.instants().all(|i| i.value)
     }
 }
 
@@ -84,7 +84,7 @@ pub fn tfloat_cmp_const(
     cmp: impl Fn(f64) -> bool + Copy,
 ) -> TBool {
     let mut seqs: Vec<TSequence<bool>> = Vec::new();
-    for s in t.as_sequences() {
+    for s in t.as_sequences().iter() {
         let instants = s.instants();
         if s.interp != Interp::Linear || instants.len() == 1 {
             // Step/discrete: truth changes only at instants.

@@ -23,6 +23,7 @@ pub use restrict::*;
 pub use spatial::*;
 pub use sync::*;
 
+use std::borrow::Cow;
 use std::fmt;
 
 use mduck_geo::point::Point;
@@ -341,13 +342,17 @@ pub type TText = Temporal<String>;
 
 impl<V: TValue> Temporal<V> {
     /// All instants in temporal order.
-    pub fn instants(&self) -> Vec<&TInstant<V>> {
+    pub fn instants(&self) -> impl Iterator<Item = &TInstant<V>> + Clone {
+        let (instant, seqs) = self.parts();
+        instant.into_iter().chain(seqs.iter().flat_map(|s| s.instants.iter()))
+    }
+
+    /// The value as its lone instant or its sequences, both borrowed.
+    pub(crate) fn parts(&self) -> (Option<&TInstant<V>>, &[TSequence<V>]) {
         match self {
-            Temporal::Instant(i) => vec![i],
-            Temporal::Sequence(s) => s.instants.iter().collect(),
-            Temporal::SequenceSet(ss) => {
-                ss.sequences.iter().flat_map(|s| s.instants.iter()).collect()
-            }
+            Temporal::Instant(i) => (Some(i), &[]),
+            Temporal::Sequence(s) => (None, std::slice::from_ref(s)),
+            Temporal::SequenceSet(ss) => (None, &ss.sequences),
         }
     }
 
@@ -359,15 +364,14 @@ impl<V: TValue> Temporal<V> {
         }
     }
 
-    /// The sequences of the value (an instant becomes a one-instant
-    /// discrete view; used by generic algorithms).
-    pub fn as_sequences(&self) -> Vec<TSequence<V>> {
-        match self {
-            Temporal::Instant(i) => {
+    /// The sequences of the value, borrowed; only an instant is copied,
+    /// into a one-instant discrete sequence (used by generic algorithms).
+    pub fn as_sequences(&self) -> Cow<'_, [TSequence<V>]> {
+        match self.parts() {
+            (Some(i), _) => Cow::Owned(
                 vec![TSequence::discrete(vec![i.clone()]).expect("valid singleton")]
-            }
-            Temporal::Sequence(s) => vec![s.clone()],
-            Temporal::SequenceSet(ss) => ss.sequences.clone(),
+            ),
+            (None, seqs) => Cow::Borrowed(seqs),
         }
     }
 
@@ -414,7 +418,7 @@ impl<V: TValue> Temporal<V> {
 
     /// All distinct timestamps.
     pub fn timestamps(&self) -> Vec<TimestampTz> {
-        self.instants().iter().map(|i| i.t).collect()
+        self.instants().map(|i| i.t).collect()
     }
 
     /// Bounding period (`::tstzspan` in the paper's Query 3).
@@ -522,7 +526,7 @@ impl<V: TValue> Temporal<V> {
 
     /// All values at instants (no interpolation applied).
     pub fn values(&self) -> Vec<V> {
-        self.instants().iter().map(|i| i.value.clone()).collect()
+        self.instants().map(|i| i.value.clone()).collect()
     }
 
     /// Build the canonical enum from a list of sequences (unwraps
@@ -577,12 +581,12 @@ impl<V: TValue> Temporal<V> {
     /// interpolation only instants are checked here; continuous
     /// pass-through is handled by the typed `at_value` implementations.
     pub fn ever_eq_at_instants(&self, v: &V) -> bool {
-        self.instants().iter().any(|i| &i.value == v)
+        self.instants().any(|i| &i.value == v)
     }
 
     /// Always-equality at instants.
     pub fn always_eq_at_instants(&self, v: &V) -> bool {
-        self.instants().iter().all(|i| &i.value == v)
+        self.instants().all(|i| &i.value == v)
     }
 }
 

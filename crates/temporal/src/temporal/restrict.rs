@@ -78,7 +78,7 @@ impl<V: TValue> Temporal<V> {
     pub fn at_periodset(&self, ps: &TstzSpanSet) -> Option<Temporal<V>> {
         let mut seqs: Vec<TSequence<V>> = Vec::new();
         for span in ps.spans() {
-            for s in self.as_sequences() {
+            for s in self.as_sequences().iter() {
                 if let Some(r) = s.at_period(span) {
                     seqs.push(r);
                 }
@@ -112,7 +112,7 @@ impl<V: TValue> Temporal<V> {
         V: SolveCrossing,
     {
         let mut out: Vec<TSequence<V>> = Vec::new();
-        for s in self.as_sequences() {
+        for s in self.as_sequences().iter() {
             match s.interp {
                 Interp::Discrete => {
                     let kept: Vec<TInstant<V>> = s
@@ -125,8 +125,8 @@ impl<V: TValue> Temporal<V> {
                         out.push(TSequence::discrete(kept).expect("ordered"));
                     }
                 }
-                Interp::Step => step_runs_equal(&s, v, &mut out),
-                Interp::Linear => linear_pieces_equal(&s, v, &mut out),
+                Interp::Step => step_runs_equal(s, v, &mut out),
+                Interp::Linear => linear_pieces_equal(s, v, &mut out),
             }
         }
         out.sort_by_key(|s| s.start().t);
@@ -144,7 +144,7 @@ impl<V: TValue> Temporal<V> {
         let mut seqs: Vec<TSequence<V>> = Vec::new();
         for v in vs {
             if let Some(t) = self.at_value(v) {
-                seqs.extend(t.as_sequences());
+                seqs.extend(t.as_sequences().into_owned());
             }
         }
         seqs.sort_by_key(|s| s.start().t);

@@ -3,7 +3,9 @@
 //! `tDwithin`, `eDwithin`, `eIntersects` — the functions the BerlinMOD
 //! queries exercise.
 
-use mduck_geo::algorithms::{clip_segment_to_rings, geometry_covers_point, intersects};
+use mduck_geo::algorithms::{
+    clip_segment_to_rings, dwithin, geometry_covers_point, intersects, Features, Flow,
+};
 use mduck_geo::geometry::GeomData;
 use mduck_geo::point::Point;
 use mduck_geo::Geometry;
@@ -97,11 +99,8 @@ impl TGeomPoint {
     /// linear sequences, a point when stationary, a multipoint for
     /// discrete/step subtypes, and a collection across sequence sets.
     pub fn trajectory(&self) -> Geometry {
-        let seqs = self.temp.as_sequences();
-        let mut parts: Vec<Geometry> = Vec::new();
-        for s in &seqs {
-            parts.push(seq_trajectory(s));
-        }
+        let mut parts: Vec<Geometry> =
+            self.temp.as_sequences().iter().map(seq_trajectory).collect();
         let g = if parts.len() == 1 {
             parts.pop().unwrap()
         } else {
@@ -113,7 +112,7 @@ impl TGeomPoint {
     /// Total length traveled, in the units of the SRID (`length()`).
     pub fn length(&self) -> f64 {
         let mut total = 0.0;
-        for s in self.temp.as_sequences() {
+        for s in self.temp.as_sequences().iter() {
             if s.interp == Interp::Linear {
                 for w in s.instants().windows(2) {
                     total += w[0].value.distance(&w[1].value);
@@ -126,7 +125,7 @@ impl TGeomPoint {
     /// Speed as a step `tfloat` in units/second (`speed()`).
     pub fn speed(&self) -> TemporalResult<TFloat> {
         let mut seqs: Vec<TSequence<f64>> = Vec::new();
-        for s in self.temp.as_sequences() {
+        for s in self.temp.as_sequences().iter() {
             if s.interp != Interp::Linear || s.num_instants() < 2 {
                 continue;
             }
@@ -169,19 +168,19 @@ impl TGeomPoint {
             match &prim.data {
                 GeomData::Point(p) => {
                     if let Some(t) = self.temp.at_value(p) {
-                        seqs.extend(t.as_sequences());
+                        seqs.extend(t.as_sequences().into_owned());
                     }
                 }
                 GeomData::MultiPoint(ps) => {
                     for p in ps {
                         if let Some(t) = self.temp.at_value(p) {
-                            seqs.extend(t.as_sequences());
+                            seqs.extend(t.as_sequences().into_owned());
                         }
                     }
                 }
                 GeomData::Polygon(rings) => {
-                    for s in self.temp.as_sequences() {
-                        restrict_seq_to_rings(&s, rings, &mut seqs);
+                    for s in self.temp.as_sequences().iter() {
+                        restrict_seq_to_rings(s, rings, &mut seqs);
                     }
                 }
                 other => {
@@ -319,15 +318,16 @@ impl TGeomPoint {
         }
     }
 
-    /// Ever within distance of a static geometry.
+    /// Ever within distance of a static geometry: the trajectory is within
+    /// `d` of `g`, searched in place without building the trajectory.
     pub fn edwithin_geo(&self, g: &Geometry, d: f64) -> bool {
-        mduck_geo::algorithms::distance(&self.trajectory(), g) <= d
+        dwithin(self, g, d)
     }
 
     /// Does the moving point ever intersect the geometry
-    /// (`eIntersects`)?
+    /// (`eIntersects`)? Same answer as intersecting the trajectory.
     pub fn eintersects(&self, g: &Geometry) -> bool {
-        intersects(&self.trajectory(), g)
+        intersects(self, g)
     }
 
     /// Is the moving point always inside the geometry (`aIntersects`-style
@@ -336,7 +336,7 @@ impl TGeomPoint {
         // Every instant inside, and (for linear movement) every segment
         // fully inside; for convex-ish district polygons checking segment
         // midpoints alongside endpoints is exact enough for benchmarks.
-        for s in self.temp.as_sequences() {
+        for s in self.temp.as_sequences().iter() {
             for w in s.instants().windows(2) {
                 let mid = w[0].value.lerp(&w[1].value, 0.5);
                 if !geometry_covers_point(g, mid) {
@@ -355,6 +355,57 @@ impl TGeomPoint {
     /// Shift the value in time.
     pub fn shift_time(&self, delta: &Interval) -> TGeomPoint {
         TGeomPoint::new(self.temp.shift_time(delta), self.srid)
+    }
+}
+
+/// A moving point as the features of its trajectory, read in place: each
+/// linear sequence is a path over its positions with consecutive repeats
+/// skipped (a stationary one is a bare point), and the instants of discrete
+/// and step sequences are bare points, as [`TGeomPoint::trajectory`] builds
+/// them.
+impl Features for TGeomPoint {
+    type Path<'s> = Positions<'s>;
+
+    fn each_path<'s>(&'s self, f: &mut impl FnMut(Positions<'s>) -> Flow) -> Flow {
+        let (_, seqs) = self.temp.parts();
+        seqs.iter()
+            .filter(|s| s.interp == Interp::Linear)
+            .try_for_each(|s| f(Positions { rest: s.instants().iter(), last: None }))
+    }
+
+    fn each_point(&self, f: &mut impl FnMut(Point) -> Flow) -> Flow {
+        let (instant, seqs) = self.temp.parts();
+        if let Some(i) = instant {
+            f(i.value)?;
+        }
+        seqs.iter()
+            .filter(|s| s.interp != Interp::Linear)
+            .try_for_each(|s| s.instants().iter().try_for_each(|i| f(i.value)))
+    }
+
+    fn each_polygon(&self, _: &mut impl FnMut(&[Vec<Point>]) -> Flow) -> Flow {
+        Flow::Continue(())
+    }
+}
+
+/// The positions of a linear sequence, skipping consecutive repeats.
+#[derive(Clone)]
+pub struct Positions<'a> {
+    rest: std::slice::Iter<'a, TInstant<Point>>,
+    last: Option<Point>,
+}
+
+impl Iterator for Positions<'_> {
+    type Item = Point;
+
+    fn next(&mut self) -> Option<Point> {
+        loop {
+            let p = self.rest.next()?.value;
+            if self.last != Some(p) {
+                self.last = Some(p);
+                return Some(p);
+            }
+        }
     }
 }
 

@@ -42,9 +42,10 @@ pub fn synchronize<A: TValue, B: TValue>(
     b: &Temporal<B>,
 ) -> Vec<SyncedSeq<A, B>> {
     let mut out = Vec::new();
-    for sa in a.as_sequences() {
-        for sb in b.as_sequences() {
-            sync_pair(&sa, &sb, &mut out);
+    let sbs = b.as_sequences();
+    for sa in a.as_sequences().iter() {
+        for sb in sbs.iter() {
+            sync_pair(sa, sb, &mut out);
         }
     }
     out.sort_by_key(|s| s.samples[0].0);

@@ -6,6 +6,8 @@
 //! function (as DuckDB does for extension UDFs); subquery-bearing
 //! expressions fall back to the shared row-wise evaluator.
 
+use std::borrow::Cow;
+
 use mduck_sql::ast::BinaryOp;
 use mduck_sql::eval::{eval, OuterStack, SubqueryExec};
 use mduck_sql::{BoundExpr, LogicalType, SqlError, SqlResult, Value};
@@ -35,8 +37,8 @@ pub fn eval_vector(
             Ok(c)
         }
         BoundExpr::Compare { op, left, right } => {
-            let l = eval_vector(left, chunk, outer, exec)?;
-            let r = eval_vector(right, chunk, outer, exec)?;
+            let l = eval_arg(left, chunk, outer, exec)?;
+            let r = eval_arg(right, chunk, outer, exec)?;
             compare_columns(*op, &l, &r, chunk.len)
         }
         BoundExpr::And(es) => {
@@ -89,16 +91,16 @@ pub fn eval_vector(
         BoundExpr::Call { func, args, strict, ty, .. } if !expr.is_complex() => {
             // Evaluate arguments vectorized, then dispatch the scalar
             // function row by row (the DuckDB extension-UDF pattern).
-            let arg_cols: SqlResult<Vec<ColumnData>> = args
+            let arg_cols: SqlResult<Vec<Cow<'_, ColumnData>>> = args
                 .iter()
-                .map(|a| eval_vector(a, chunk, outer, exec))
+                .map(|a| eval_arg(a, chunk, outer, exec))
                 .collect();
             let arg_cols = arg_cols?;
             let mut out = ColumnData::new(ty);
             let mut scratch: Vec<Value> = Vec::with_capacity(args.len());
             'rows: for i in 0..chunk.len {
                 scratch.clear();
-                for c in &arg_cols {
+                for c in arg_cols.iter() {
                     let v = c.get(i);
                     if *strict && v.is_null() {
                         out.push_null();
@@ -111,11 +113,29 @@ pub fn eval_vector(
             Ok(out)
         }
         BoundExpr::Arith { op, left, right, ty } if !expr.is_complex() => {
-            let l = eval_vector(left, chunk, outer, exec)?;
-            let r = eval_vector(right, chunk, outer, exec)?;
+            let l = eval_arg(left, chunk, outer, exec)?;
+            let r = eval_arg(right, chunk, outer, exec)?;
             arith_columns(*op, &l, &r, ty, chunk.len)
         }
         _ => fallback_rows(expr, chunk, outer, exec),
+    }
+}
+
+/// Evaluate an operand: a bare column reference is read in place instead
+/// of being cloned into a fresh column.
+fn eval_arg<'c>(
+    expr: &BoundExpr,
+    chunk: &'c DataChunk,
+    outer: &OuterStack<'_>,
+    exec: &dyn SubqueryExec,
+) -> SqlResult<Cow<'c, ColumnData>> {
+    match expr {
+        BoundExpr::ColumnRef { index, .. } => chunk
+            .columns
+            .get(*index)
+            .map(Cow::Borrowed)
+            .ok_or_else(|| SqlError::execution(format!("column {index} out of range"))),
+        _ => eval_vector(expr, chunk, outer, exec).map(Cow::Owned),
     }
 }
 

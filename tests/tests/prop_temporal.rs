@@ -243,3 +243,107 @@ fn trajectory_length_matches_instant_polyline() {
         }
     }
 }
+
+/// A moving point near BerlinMOD-scale coordinates: one or more linear,
+/// step or discrete sequences (or a lone instant), with stationary
+/// stretches, on an integer grid (exact touches) or real-valued.
+fn gen_moving_point(rng: &mut StdRng, origin: mduck_geo::Point, grid: bool) -> TGeomPoint {
+    use mduck_geo::Point;
+    let coord = |rng: &mut StdRng| {
+        if grid {
+            rng.random_range(-12i64..=12) as f64
+        } else {
+            rng.random_range(-500.0..500.0f64)
+        }
+    };
+    let base = 1_700_000_000_000_000i64;
+    let interp = [Interp::Linear, Interp::Linear, Interp::Step, Interp::Discrete]
+        [rng.random_range(0usize..4)];
+    let n_seqs = rng.random_range(1usize..4);
+    let mut t = base;
+    let mut seqs = Vec::new();
+    for _ in 0..n_seqs {
+        let n = rng.random_range(1usize..30);
+        let mut p = Point::new(origin.x + coord(rng), origin.y + coord(rng));
+        let mut instants = Vec::new();
+        for _ in 0..n {
+            if rng.random_bool(0.7) {
+                p = Point::new(origin.x + coord(rng), origin.y + coord(rng));
+            }
+            instants.push(TInstant::new(p, TimestampTz(t)));
+            t += 60_000_000;
+        }
+        t += 600_000_000;
+        let seq = if interp == Interp::Discrete {
+            TSequence::discrete(instants)
+        } else {
+            TSequence::new(instants, true, true, interp)
+        };
+        seqs.push(seq.unwrap());
+    }
+    let temp = if rng.random_bool(0.1) {
+        Temporal::Instant(seqs[0].instants()[0].clone())
+    } else {
+        Temporal::from_sequences(seqs).unwrap()
+    };
+    TGeomPoint::new(temp, 0)
+}
+
+fn gen_region(rng: &mut StdRng, origin: mduck_geo::Point, trip: &TGeomPoint) -> mduck_geo::Geometry {
+    use mduck_geo::{Geometry, Point};
+    let c = Point::new(
+        origin.x + rng.random_range(-20i64..=20) as f64,
+        origin.y + rng.random_range(-20i64..=20) as f64,
+    );
+    let ring = |c: Point, w: f64| {
+        vec![
+            Point::new(c.x - w, c.y - w),
+            Point::new(c.x + w, c.y - w),
+            Point::new(c.x + w, c.y + w),
+            Point::new(c.x - w, c.y + w),
+            Point::new(c.x - w, c.y - w),
+        ]
+    };
+    let vertex = trip.temp.instants().nth(rng.random_range(0..trip.temp.num_instants())).unwrap().value;
+    match rng.random_range(0u32..5) {
+        0 => Geometry::polygon(vec![ring(c, 6.0), ring(c, 2.0)]).unwrap(),
+        1 => Geometry::polygon(vec![ring(c, rng.random_range(1.0..300.0f64))]).unwrap(),
+        2 => Geometry::from_point(if rng.random_bool(0.5) { vertex } else { c }),
+        3 => Geometry::linestring(vec![c, vertex, Point::new(c.x + 7.0, c.y - 3.0)]).unwrap(),
+        _ => Geometry::collection(vec![
+            Geometry::multipoint(vec![c, Point::new(c.x + 1.0, c.y)]),
+            Geometry::polygon(vec![ring(Point::new(c.x + 30.0, c.y), 4.0)]).unwrap(),
+        ]),
+    }
+}
+
+#[test]
+fn eintersects_and_edwithin_match_the_built_trajectory() {
+    use mduck_geo::algorithms::{distance, intersects};
+    let mut rng = StdRng::seed_from_u64(0x5ea_000b);
+    for case in 0..1500 {
+        let origin = mduck_geo::Point::new(
+            rng.random_range(5e5..2e6f64),
+            rng.random_range(5e5..2e6f64),
+        );
+        let trip = gen_moving_point(&mut rng, origin, case % 2 == 0);
+        // Also the restricted trip the BerlinMOD queries test (atTime).
+        let span = trip.timespan();
+        let mid = TimestampTz(span.lower.0 + (span.upper.0 - span.lower.0) / 3);
+        let cut = Span::new(span.lower, mid, true, true).ok().and_then(|p| trip.at_period(&p));
+        for t in std::iter::once(&trip).chain(cut.as_ref()) {
+            let g = gen_region(&mut rng, origin, t);
+            let traj = t.trajectory();
+            let want = distance(&traj, &g);
+            let got = distance(t, &g);
+            assert!(
+                got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                "distance {got} != {want}\n{t}\n{g:?}"
+            );
+            assert_eq!(t.eintersects(&g), intersects(&traj, &g), "{t}\n{g:?}");
+            for d in [want, want.next_down(), want * 0.5, 0.0, -1.0, f64::NAN, rng.random_range(0.0..50.0)] {
+                assert_eq!(t.edwithin_geo(&g, d), want <= d, "d = {d}\n{t}\n{g:?}");
+            }
+        }
+    }
+}
