@@ -256,7 +256,7 @@ impl BerlinModData {
             }
         }
         for (name, rows) in self.table_rows() {
-            db.insert_rows(name, rows)?;
+            db.insert_rows(name, &rows)?;
         }
         if with_indexes {
             for stmt in Self::index_ddl().split(';') {

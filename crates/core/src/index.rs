@@ -1,7 +1,7 @@
 //! The TRTREE index type (§4): an R-tree over `stbox` (and `tgeompoint`,
-//! via its bounding box) registered with the vectorized engine, plus the
-//! GiST twin registered with the row engine for the "MobilityDB with
-//! indexes" scenario.
+//! via its bounding box). The vectorized engine registers it as TRTREE;
+//! the row engine registers the same index as GIST for the "MobilityDB
+//! with indexes" scenario.
 //!
 //! Index construction follows §4.2 exactly: the *index-first* `Append`
 //! path inserts incrementally through `rtree_insert`, and the *data-first*
@@ -13,8 +13,9 @@ use std::sync::Mutex;
 
 use mduck_rtree::{RTree, Rect3};
 use mduck_sql::{LogicalType, SqlError, SqlResult, Value};
+use quackdb::{IndexType, TableIndex};
 
-use crate::types::{value_to_stbox, MdStbox, MdTGeomPoint, MdTGeometry};
+use crate::types::value_to_stbox;
 
 /// Extract the 3-D (x, y, t) box of an indexable value; `None` for NULLs.
 pub fn value_box3(v: &Value) -> SqlResult<Option<Rect3>> {
@@ -31,7 +32,7 @@ pub fn is_indexable(ty: &LogicalType) -> bool {
     matches!(ty, LogicalType::Ext(name) if matches!(&**name, "stbox" | "tgeompoint" | "tgeometry"))
 }
 
-/// Shared index core used by both engines' registrations.
+/// A live spatiotemporal index on one column, under either method name.
 pub struct SpatioTemporalIndex {
     name: String,
     method: &'static str,
@@ -86,8 +87,19 @@ impl SpatioTemporalIndex {
         let tree = RTree::bulk_load(combined.into_inner().unwrap());
         Ok(SpatioTemporalIndex { name: name.to_string(), method, column, tree })
     }
+}
 
-    fn append_values(&mut self, values: &[Value], first_row: u64) -> SqlResult<()> {
+impl TableIndex for SpatioTemporalIndex {
+    fn name(&self) -> &str {
+        &self.name
+    }
+    fn method(&self) -> &str {
+        self.method
+    }
+    fn column(&self) -> usize {
+        self.column
+    }
+    fn append(&mut self, values: &[Value], first_row: u64) -> SqlResult<()> {
         for (i, v) in values.iter().enumerate() {
             if let Some(rect) = value_box3(v)? {
                 self.tree.insert(rect, first_row + i as u64);
@@ -95,8 +107,7 @@ impl SpatioTemporalIndex {
         }
         Ok(())
     }
-
-    fn scan(&self, op: &str, constant: &Value) -> SqlResult<Option<Vec<u64>>> {
+    fn try_scan(&self, op: &str, constant: &Value) -> SqlResult<Option<Vec<u64>>> {
         // The scan matcher (§4.3): overlap (and containment, which implies
         // box overlap) against an stbox/tgeompoint constant.
         if op != "&&" && op != "@>" && op != "<@" {
@@ -107,41 +118,19 @@ impl SpatioTemporalIndex {
         };
         Ok(Some(self.tree.search(&rect)))
     }
-}
-
-// ------------------------------------------------------------ quackdb side
-
-/// TRTREE instance bound to a quackdb table column.
-pub struct TRTreeIndex(SpatioTemporalIndex);
-
-impl quackdb::TableIndex for TRTreeIndex {
-    fn name(&self) -> &str {
-        &self.0.name
-    }
-    fn method(&self) -> &str {
-        self.0.method
-    }
-    fn column(&self) -> usize {
-        self.0.column
-    }
-    fn append(&mut self, values: &[Value], first_row: u64) -> SqlResult<()> {
-        self.0.append_values(values, first_row)
-    }
-    fn try_scan(&self, op: &str, constant: &Value) -> SqlResult<Option<Vec<u64>>> {
-        self.0.scan(op, constant)
-    }
     fn len(&self) -> usize {
-        self.0.tree.len()
+        self.tree.len()
     }
 }
 
-/// The registered TRTREE index type (the paper's `RegisterRTreeIndex`,
-/// named TRTREE to avoid clashing with Spatial's RTREE).
-pub struct TRTreeIndexType;
+/// The registered spatiotemporal index type under one method name: the
+/// paper's `RegisterRTreeIndex` as TRTREE (named to avoid clashing with
+/// Spatial's RTREE) on the vectorized engine, GIST on the row engine.
+pub struct SpatioTemporalIndexType(pub &'static str);
 
-impl quackdb::IndexType for TRTreeIndexType {
+impl IndexType for SpatioTemporalIndexType {
     fn type_name(&self) -> &str {
-        "TRTREE"
+        self.0
     }
     fn can_index(&self, ty: &LogicalType) -> bool {
         is_indexable(ty)
@@ -152,10 +141,8 @@ impl quackdb::IndexType for TRTreeIndexType {
         column: usize,
         _column_type: &LogicalType,
         existing: &[Value],
-    ) -> SqlResult<Box<dyn quackdb::TableIndex>> {
-        Ok(Box::new(TRTreeIndex(SpatioTemporalIndex::bulk_build(
-            index_name, "TRTREE", column, existing,
-        )?)))
+    ) -> SqlResult<Box<dyn TableIndex>> {
+        Ok(Box::new(SpatioTemporalIndex::bulk_build(index_name, self.0, column, existing)?))
     }
 }
 
@@ -167,7 +154,7 @@ pub struct GeomRTreeIndex {
     inner: SpatioTemporalIndex,
 }
 
-impl quackdb::TableIndex for GeomRTreeIndex {
+impl TableIndex for GeomRTreeIndex {
     fn name(&self) -> &str {
         &self.inner.name
     }
@@ -214,7 +201,7 @@ impl quackdb::TableIndex for GeomRTreeIndex {
 /// `USING RTREE(geom)` — DuckDB Spatial's native index, reproduced.
 pub struct GeomRTreeIndexType;
 
-impl quackdb::IndexType for GeomRTreeIndexType {
+impl IndexType for GeomRTreeIndexType {
     fn type_name(&self) -> &str {
         "RTREE"
     }
@@ -227,7 +214,7 @@ impl quackdb::IndexType for GeomRTreeIndexType {
         column: usize,
         _column_type: &LogicalType,
         existing: &[Value],
-    ) -> SqlResult<Box<dyn quackdb::TableIndex>> {
+    ) -> SqlResult<Box<dyn TableIndex>> {
         let mut idx = GeomRTreeIndex {
             inner: SpatioTemporalIndex {
                 name: index_name.to_string(),
@@ -257,56 +244,3 @@ impl quackdb::IndexType for GeomRTreeIndexType {
         Ok(Box::new(idx))
     }
 }
-
-// ------------------------------------------------------------- rowdb side
-
-/// GiST instance bound to a rowdb table column.
-pub struct GistIndex(SpatioTemporalIndex);
-
-impl mduck_rowdb::RowIndex for GistIndex {
-    fn name(&self) -> &str {
-        &self.0.name
-    }
-    fn method(&self) -> &str {
-        "GIST"
-    }
-    fn column(&self) -> usize {
-        self.0.column
-    }
-    fn append(&mut self, values: &[Value], first_row: u64) -> SqlResult<()> {
-        self.0.append_values(values, first_row)
-    }
-    fn try_scan(&self, op: &str, probe: &Value) -> SqlResult<Option<Vec<u64>>> {
-        self.0.scan(op, probe)
-    }
-    fn len(&self) -> usize {
-        self.0.tree.len()
-    }
-}
-
-/// `USING GIST` for the PostgreSQL-like baseline.
-pub struct GistIndexType;
-
-impl mduck_rowdb::RowIndexType for GistIndexType {
-    fn type_name(&self) -> &str {
-        "GIST"
-    }
-    fn can_index(&self, ty: &LogicalType) -> bool {
-        is_indexable(ty)
-    }
-    fn create(
-        &self,
-        index_name: &str,
-        column: usize,
-        _column_type: &LogicalType,
-        existing: &[Value],
-    ) -> SqlResult<Box<dyn mduck_rowdb::RowIndex>> {
-        Ok(Box::new(GistIndex(SpatioTemporalIndex::bulk_build(
-            index_name, "GIST", column, existing,
-        )?)))
-    }
-}
-
-// Keep downcast paths alive for tests.
-#[allow(unused)]
-fn _wrappers(_: (&MdStbox, &MdTGeomPoint, &MdTGeometry)) {}

@@ -93,7 +93,7 @@ fn register_codecs(reg: &mut Registry) {
 pub fn load(db: &quackdb::Database) {
     register_all(&mut db.registry_mut());
     let mut idx = db.index_types_mut();
-    idx.register(Arc::new(index::TRTreeIndexType));
+    idx.register(Arc::new(index::SpatioTemporalIndexType("TRTREE")));
     idx.register(Arc::new(index::GeomRTreeIndexType));
 }
 
@@ -101,7 +101,7 @@ pub fn load(db: &quackdb::Database) {
 /// baseline): same SQL surface, GiST + B-tree access methods.
 pub fn load_row(db: &mduck_rowdb::RowDatabase) {
     register_all(&mut db.registry_mut());
-    db.index_types_mut().register(Arc::new(index::GistIndexType));
+    db.index_types_mut().register(Arc::new(index::SpatioTemporalIndexType("GIST")));
 }
 
 /// The Table-1 coverage matrix: (base type, [set, span, spanset, temporal])

@@ -28,18 +28,6 @@ impl GeometryKind {
             GeometryKind::GeometryCollection => 7,
         }
     }
-
-    /// Upper-case WKT tag.
-    pub fn wkt_tag(self) -> &'static str {
-        match self {
-            GeometryKind::Point => "POINT",
-            GeometryKind::LineString => "LINESTRING",
-            GeometryKind::Polygon => "POLYGON",
-            GeometryKind::MultiPoint => "MULTIPOINT",
-            GeometryKind::MultiLineString => "MULTILINESTRING",
-            GeometryKind::GeometryCollection => "GEOMETRYCOLLECTION",
-        }
-    }
 }
 
 /// A 2-D simple-feature geometry with an SRID.

@@ -31,13 +31,6 @@ impl Point {
         (*self - *other).norm()
     }
 
-    /// Squared Euclidean distance (avoids the sqrt in hot loops).
-    #[inline]
-    pub fn distance_sq(&self, other: &Point) -> f64 {
-        let d = *self - *other;
-        d.dot(d)
-    }
-
     /// Vector dot product.
     #[inline]
     pub fn dot(self, other: Point) -> f64 {

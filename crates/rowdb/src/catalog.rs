@@ -1,13 +1,10 @@
-//! Row-oriented heap tables (the PostgreSQL storage substrate).
+//! Row-oriented heap tables (the PostgreSQL storage substrate): the
+//! engine's side of the session's [`Storage`] seam.
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::borrow::Cow;
 
-use mduck_sync::RwLock;
-
-use mduck_sql::{Catalog, LogicalType, SqlError, SqlResult, Value};
-
-use crate::index::RowIndex;
+use mduck_sql::{LogicalType, SqlError, SqlResult, Value};
+use mduck_wal::session::{Storage, TableIndex};
 
 /// A heap table: rows stored row-major, as in a row store.
 pub struct HeapTable {
@@ -15,11 +12,20 @@ pub struct HeapTable {
     pub column_names: Vec<String>,
     pub column_types: Vec<LogicalType>,
     pub rows: Vec<Vec<Value>>,
-    pub indexes: Vec<Box<dyn RowIndex>>,
+    pub indexes: Vec<Box<dyn TableIndex>>,
 }
 
-impl HeapTable {
-    pub fn new(name: String, columns: Vec<(String, LogicalType)>) -> Self {
+/// A staged change to a heap: cells to overwrite, or a mask of the rows
+/// to drop.
+pub enum StagedRows {
+    Cells(Vec<(u64, u64, Value)>),
+    Dead(Vec<bool>),
+}
+
+impl Storage for HeapTable {
+    type Staged = StagedRows;
+
+    fn new(name: String, columns: Vec<(String, LogicalType)>) -> Self {
         HeapTable {
             name,
             column_names: columns.iter().map(|(n, _)| n.to_ascii_lowercase()).collect(),
@@ -29,9 +35,28 @@ impl HeapTable {
         }
     }
 
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        let lname = name.to_ascii_lowercase();
-        self.column_names.iter().position(|n| *n == lname)
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn column_names(&self) -> &[String] {
+        &self.column_names
+    }
+
+    fn column_types(&self) -> Vec<LogicalType> {
+        self.column_types.clone()
+    }
+
+    fn row_count(&self) -> usize {
+        self.rows.len()
+    }
+
+    fn row(&self, i: usize) -> Cow<'_, [Value]> {
+        Cow::Borrowed(&self.rows[i])
+    }
+
+    fn column_values(&self, col: usize) -> Vec<Value> {
+        self.rows.iter().map(|r| r[col].clone()).collect()
     }
 
     /// Append rows. Atomic: arity is validated before anything mutates,
@@ -40,9 +65,9 @@ impl HeapTable {
     /// index that fails mid-append may hold partial entries; it (and any
     /// index fed before it) is dropped rather than left serving stale
     /// row ids, with the error saying so.
-    pub fn append_rows(&mut self, rows: Vec<Vec<Value>>) -> SqlResult<()> {
+    fn append_rows(&mut self, rows: &[Vec<Value>]) -> SqlResult<()> {
         let first = self.rows.len() as u64;
-        for row in &rows {
+        for row in rows {
             if row.len() != self.column_names.len() {
                 return Err(SqlError::execution(format!(
                     "INSERT has {} values, table {} has {} columns",
@@ -65,69 +90,66 @@ impl HeapTable {
                 )));
             }
         }
-        self.rows.extend(rows);
+        self.rows.extend_from_slice(rows);
         Ok(())
     }
 
-    /// Keep only the first `len` rows (the rollback path of an atomic
-    /// append; the caller rebuilds any indexes).
-    pub fn truncate_rows(&mut self, len: usize) {
+    fn truncate(&mut self, len: usize) {
         self.rows.truncate(len);
     }
-}
 
-/// The row-store catalog.
-#[derive(Default, Clone)]
-pub struct RowCatalog {
-    tables: Arc<RwLock<HashMap<String, Arc<RwLock<HeapTable>>>>>,
-}
+    fn stage_update(&self, cells: &[(u64, u64, Value)]) -> SqlResult<StagedRows> {
+        Ok(StagedRows::Cells(cells.to_vec()))
+    }
 
-impl RowCatalog {
-    pub fn create_table(
-        &self,
-        name: &str,
-        columns: Vec<(String, LogicalType)>,
-        if_not_exists: bool,
-    ) -> SqlResult<()> {
-        let lname = name.to_ascii_lowercase();
-        let mut tables = self.tables.write();
-        if tables.contains_key(&lname) {
-            if if_not_exists {
-                return Ok(());
+    fn stage_delete(&self, rows: &[u64]) -> SqlResult<StagedRows> {
+        let mut dead = vec![false; self.rows.len()];
+        for r in rows {
+            dead[*r as usize] = true;
+        }
+        Ok(StagedRows::Dead(dead))
+    }
+
+    fn staged_values(&self, staged: &StagedRows, col: usize) -> Vec<Value> {
+        match staged {
+            StagedRows::Cells(cells) => {
+                let mut values = self.column_values(col);
+                for (r, c, v) in cells {
+                    if *c as usize == col {
+                        values[*r as usize] = v.clone();
+                    }
+                }
+                values
             }
-            return Err(SqlError::Catalog(format!("table {name:?} already exists")));
+            StagedRows::Dead(dead) => self
+                .rows
+                .iter()
+                .zip(dead)
+                .filter(|(_, dead)| !**dead)
+                .map(|(row, _)| row[col].clone())
+                .collect(),
         }
-        tables.insert(lname.clone(), Arc::new(RwLock::new(HeapTable::new(lname, columns))));
-        Ok(())
     }
 
-    pub fn drop_table(&self, name: &str, if_exists: bool) -> SqlResult<()> {
-        let lname = name.to_ascii_lowercase();
-        if self.tables.write().remove(&lname).is_none() && !if_exists {
-            return Err(SqlError::Catalog(format!("table {name:?} does not exist")));
+    fn apply(&mut self, staged: StagedRows) {
+        match staged {
+            StagedRows::Cells(cells) => {
+                for (r, c, v) in cells {
+                    self.rows[r as usize][c as usize] = v;
+                }
+            }
+            StagedRows::Dead(dead) => {
+                let mut dead = dead.into_iter();
+                self.rows.retain(|_| !dead.next().unwrap_or(false));
+            }
         }
-        Ok(())
     }
 
-    pub fn get(&self, name: &str) -> SqlResult<Arc<RwLock<HeapTable>>> {
-        self.tables
-            .read()
-            .get(&name.to_ascii_lowercase())
-            .cloned()
-            .ok_or_else(|| SqlError::Catalog(format!("table {name:?} does not exist")))
+    fn indexes(&self) -> &[Box<dyn TableIndex>] {
+        &self.indexes
     }
 
-    pub fn table_names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.tables.read().keys().cloned().collect();
-        v.sort();
-        v
-    }
-}
-
-impl Catalog for RowCatalog {
-    fn table_schema(&self, name: &str) -> Option<Vec<(String, LogicalType)>> {
-        let t = self.tables.read().get(&name.to_ascii_lowercase())?.clone();
-        let t = t.read();
-        Some(t.column_names.iter().cloned().zip(t.column_types.iter().cloned()).collect())
+    fn indexes_mut(&mut self) -> &mut Vec<Box<dyn TableIndex>> {
+        &mut self.indexes
     }
 }

@@ -21,13 +21,15 @@ use mduck_sql::{
     SortKey, SqlError, SqlResult, Value,
 };
 
-use crate::catalog::RowCatalog;
+use mduck_wal::session::TableCatalog;
+
+use crate::catalog::HeapTable;
 
 type Row = Vec<Value>;
 
 /// Execution context for one statement.
 pub struct RowCtx<'a> {
-    pub catalog: &'a RowCatalog,
+    pub catalog: &'a TableCatalog<HeapTable>,
     pub registry: &'a Registry,
     /// The per-statement guard: rows-scanned budget, memory accounting.
     pub guard: &'a ExecGuard,
@@ -38,7 +40,7 @@ pub struct RowCtx<'a> {
 }
 
 impl<'a> RowCtx<'a> {
-    pub fn new(catalog: &'a RowCatalog, registry: &'a Registry, guard: &'a ExecGuard) -> Self {
+    pub fn new(catalog: &'a TableCatalog<HeapTable>, registry: &'a Registry, guard: &'a ExecGuard) -> Self {
         RowCtx {
             catalog,
             registry,

@@ -16,7 +16,8 @@ pub mod database;
 pub mod exec;
 pub mod index;
 
-pub use catalog::{HeapTable, RowCatalog};
-pub use database::{RowDatabase, RowQueryResult};
+pub use catalog::HeapTable;
+pub use database::{RowDatabase, RowEngine};
 pub use exec::{execute_select, RowCtx};
-pub use index::{BTreeIndexType, RowIndex, RowIndexRegistry, RowIndexType};
+pub use index::BTreeIndexType;
+pub use mduck_wal::session::{IndexType, IndexTypeRegistry, ProfiledQuery, QueryResult, TableIndex};

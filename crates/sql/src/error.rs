@@ -74,16 +74,8 @@ impl SqlError {
         SqlError::Bind(msg.into())
     }
 
-    pub fn type_error(msg: impl Into<String>) -> Self {
-        SqlError::Type(msg.into())
-    }
-
     pub fn overflow(msg: impl Into<String>) -> Self {
         SqlError::Overflow(msg.into())
-    }
-
-    pub fn out_of_range(msg: impl Into<String>) -> Self {
-        SqlError::OutOfRange(msg.into())
     }
 
     pub fn resource_exhausted(msg: impl Into<String>) -> Self {

@@ -143,11 +143,6 @@ impl Registry {
             });
     }
 
-    /// Register with full control over the signature.
-    pub fn register_scalar_sig(&mut self, sig: ScalarSig) {
-        self.scalars.entry(sig.name.clone()).or_default().push(sig);
-    }
-
     /// Resolve a call by name and argument types, honouring implicit
     /// coercions (Int→Float, Null→anything).
     pub fn resolve_scalar(&self, name: &str, arg_types: &[LogicalType]) -> SqlResult<&ScalarSig> {

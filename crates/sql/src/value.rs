@@ -238,13 +238,6 @@ impl Value {
         }
     }
 
-    pub fn as_blob(&self) -> SqlResult<&[u8]> {
-        match self {
-            Value::Blob(b) => Ok(b),
-            other => Err(SqlError::execution(format!("expected BLOB, got {other:?}"))),
-        }
-    }
-
     pub fn as_timestamp(&self) -> SqlResult<i64> {
         match self {
             Value::Timestamp(t) => Ok(*t),

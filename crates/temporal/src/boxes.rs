@@ -227,14 +227,6 @@ impl STBox {
         STBox { srid: 0, rect: None, period: Some(p) }
     }
 
-    pub fn has_x(&self) -> bool {
-        self.rect.is_some()
-    }
-
-    pub fn has_t(&self) -> bool {
-        self.period.is_some()
-    }
-
     /// Grow the spatial dimensions by `d` on every side (§3.5
     /// `expandSpace`).
     pub fn expand_space(&self, d: f64) -> TemporalResult<STBox> {

@@ -6,7 +6,7 @@
 use std::fmt;
 
 use crate::error::{TemporalError, TemporalResult};
-use crate::span::{parse_span, Span, SpanValue, TstzSpan};
+use crate::span::{parse_span, Span, SpanValue};
 use crate::time::{Interval, TimestampTz};
 
 /// A non-empty, normalized set of spans.
@@ -190,11 +190,6 @@ pub fn parse_spanset<T: SpanValue>(s: &str) -> TemporalResult<SpanSet<T>> {
 /// Convenience alias for periods.
 pub fn parse_periodset(s: &str) -> TemporalResult<TstzSpanSet> {
     parse_spanset(s)
-}
-
-/// Convenience alias for a single period.
-pub fn parse_period(s: &str) -> TemporalResult<TstzSpan> {
-    parse_span(s)
 }
 
 #[cfg(test)]

@@ -136,22 +136,6 @@ impl<V: TValue> Temporal<V> {
         Temporal::from_sequences(out).ok()
     }
 
-    /// Restrict to several values at once.
-    pub fn at_values(&self, vs: &[V]) -> Option<Temporal<V>>
-    where
-        V: SolveCrossing,
-    {
-        let mut seqs: Vec<TSequence<V>> = Vec::new();
-        for v in vs {
-            if let Some(t) = self.at_value(v) {
-                seqs.extend(t.as_sequences().into_owned());
-            }
-        }
-        seqs.sort_by_key(|s| s.start().t);
-        seqs.dedup_by(|a, b| a.start().t == b.start().t && a.num_instants() == b.num_instants());
-        Temporal::from_sequences(seqs).ok()
-    }
-
     /// The parts where the value differs from `v` (`minusValues`).
     pub fn minus_value(&self, v: &V) -> Option<Temporal<V>>
     where

@@ -64,17 +64,6 @@ pub fn civil_from_days(z: i64) -> (i64, u32, u32) {
 }
 
 impl TimestampTz {
-    /// Build from civil components (UTC).
-    pub fn from_ymd_hms(y: i64, mo: u32, d: u32, h: u32, mi: u32, s: u32) -> Self {
-        let days = days_from_civil(y, mo, d);
-        TimestampTz(
-            days * USECS_PER_DAY
-                + h as i64 * USECS_PER_HOUR
-                + mi as i64 * USECS_PER_MIN
-                + s as i64 * USECS_PER_SEC,
-        )
-    }
-
     /// Microseconds since the Unix epoch.
     #[inline]
     pub fn micros(self) -> i64 {
@@ -164,10 +153,6 @@ impl Interval {
     /// Postgres does for interval comparison).
     pub fn approx_usecs(&self) -> i64 {
         (self.months as i64 * 30 + self.days as i64) * USECS_PER_DAY + self.usecs
-    }
-
-    pub fn is_zero(&self) -> bool {
-        self.months == 0 && self.days == 0 && self.usecs == 0
     }
 
     /// Normalize a microseconds count into days+usecs for printing.

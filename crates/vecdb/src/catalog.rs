@@ -1,14 +1,12 @@
-//! Tables (columnar storage) and the database catalog.
+//! Base tables in columnar storage: the engine's side of the session's
+//! [`Storage`] seam.
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::borrow::Cow;
 
-use mduck_sync::RwLock;
-
-use mduck_sql::{Catalog, LogicalType, SqlError, SqlResult, Value};
+use mduck_sql::{LogicalType, SqlError, SqlResult, Value};
+use mduck_wal::session::{Storage, TableIndex};
 
 use crate::column::{Chunks, ColumnData, DataChunk, VECTOR_SIZE};
-use crate::index::TableIndex;
 
 /// A base table: full columnar storage plus any attached indexes.
 pub struct Table {
@@ -19,32 +17,10 @@ pub struct Table {
 }
 
 impl Table {
-    pub fn new(name: String, columns: Vec<(String, LogicalType)>) -> Self {
-        Table {
-            name,
-            column_names: columns.iter().map(|(n, _)| n.to_ascii_lowercase()).collect(),
-            columns: columns.iter().map(|(_, t)| ColumnData::new(t)).collect(),
-            indexes: Vec::new(),
-        }
-    }
-
-    pub fn row_count(&self) -> usize {
-        self.columns.first().map(ColumnData::len).unwrap_or(0)
-    }
-
-    pub fn column_types(&self) -> Vec<LogicalType> {
-        self.columns.iter().map(|c| c.ty.clone()).collect()
-    }
-
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        let lname = name.to_ascii_lowercase();
-        self.column_names.iter().position(|n| *n == lname)
-    }
-
     /// Check, without mutating anything, that `rows` can be appended:
     /// arity and per-column type acceptance. After this returns `Ok`,
-    /// the column phase of [`Table::append_rows`] cannot fail.
-    pub fn validate_append(&self, rows: &[Vec<Value>]) -> SqlResult<()> {
+    /// the column phase of [`Storage::append_rows`] cannot fail.
+    fn validate_append(&self, rows: &[Vec<Value>]) -> SqlResult<()> {
         for row in rows {
             if row.len() != self.columns.len() {
                 return Err(SqlError::execution(format!(
@@ -59,53 +35,6 @@ impl Table {
             }
         }
         Ok(())
-    }
-
-    /// Append rows, feeding attached indexes through the index-first
-    /// `Append` path (§4.2.1). Atomic: on any failure the columns are
-    /// rolled back to their pre-call length, so a half-applied INSERT is
-    /// never visible (statement atomicity depends on this).
-    pub fn append_rows(&mut self, rows: &[Vec<Value>]) -> SqlResult<()> {
-        self.validate_append(rows)?;
-        let first_row = self.row_count();
-        for row in rows {
-            for (c, v) in self.columns.iter_mut().zip(row) {
-                if let Err(e) = c.push(v) {
-                    // Unreachable after validation, but a defect here
-                    // must degrade to an error, not to ragged columns.
-                    for c in &mut self.columns {
-                        c.truncate(first_row);
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        for k in 0..self.indexes.len() {
-            let col = self.indexes[k].column();
-            let values: Vec<Value> = rows.iter().map(|r| r[col].clone()).collect();
-            if let Err(e) = self.indexes[k].append(&values, first_row as u64) {
-                for c in &mut self.columns {
-                    c.truncate(first_row);
-                }
-                // Indexes fed so far hold entries for the rows just
-                // rolled back; an index is only an access path, so
-                // dropping them is safe where serving stale row ids
-                // is not.
-                let dropped: Vec<String> =
-                    self.indexes.drain(..=k).map(|i| i.name().to_string()).collect();
-                return Err(SqlError::execution(format!(
-                    "{e}; index(es) {dropped:?} on table {} were dropped to preserve \
-                     consistency and must be re-created",
-                    self.name
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// All values of one column (for bulk index construction).
-    pub fn column_values(&self, col: usize) -> Vec<Value> {
-        (0..self.row_count()).map(|i| self.columns[col].get(i)).collect()
     }
 
     /// The table as execution chunks.
@@ -148,71 +77,150 @@ impl Table {
         }
         out
     }
+}
 
-    pub fn row(&self, i: usize) -> Vec<Value> {
-        self.columns.iter().map(|c| c.get(i)).collect()
+
+/// Replaced columns, by position.
+pub type StagedColumns = Vec<(usize, ColumnData)>;
+
+impl Storage for Table {
+    type Staged = StagedColumns;
+
+    fn new(name: String, columns: Vec<(String, LogicalType)>) -> Self {
+        Table {
+            name,
+            column_names: columns.iter().map(|(n, _)| n.to_ascii_lowercase()).collect(),
+            columns: columns.iter().map(|(_, t)| ColumnData::new(t)).collect(),
+            indexes: Vec::new(),
+        }
     }
-}
 
-/// The database catalog: name → table.
-#[derive(Default, Clone)]
-pub struct DbCatalog {
-    tables: Arc<RwLock<HashMap<String, Arc<RwLock<Table>>>>>,
-}
+    fn name(&self) -> &str {
+        &self.name
+    }
 
-impl DbCatalog {
-    pub fn create_table(
-        &self,
-        name: &str,
-        columns: Vec<(String, LogicalType)>,
-        if_not_exists: bool,
-    ) -> SqlResult<()> {
-        let lname = name.to_ascii_lowercase();
-        let mut tables = self.tables.write();
-        if tables.contains_key(&lname) {
-            if if_not_exists {
-                return Ok(());
+    fn column_names(&self) -> &[String] {
+        &self.column_names
+    }
+
+    fn column_types(&self) -> Vec<LogicalType> {
+        self.columns.iter().map(|c| c.ty.clone()).collect()
+    }
+
+    fn row_count(&self) -> usize {
+        self.columns.first().map(ColumnData::len).unwrap_or(0)
+    }
+
+    fn row(&self, i: usize) -> Cow<'_, [Value]> {
+        Cow::Owned(self.columns.iter().map(|c| c.get(i)).collect())
+    }
+
+    fn column_values(&self, col: usize) -> Vec<Value> {
+        (0..self.row_count()).map(|i| self.columns[col].get(i)).collect()
+    }
+
+    /// Append rows, feeding attached indexes through the index-first
+    /// `Append` path (§4.2.1). Atomic: on any failure the columns are
+    /// rolled back to their pre-call length, so a half-applied INSERT is
+    /// never visible (statement atomicity depends on this).
+    fn append_rows(&mut self, rows: &[Vec<Value>]) -> SqlResult<()> {
+        self.validate_append(rows)?;
+        let first_row = self.row_count();
+        for row in rows {
+            for (c, v) in self.columns.iter_mut().zip(row) {
+                if let Err(e) = c.push(v) {
+                    // Unreachable after validation, but a defect here
+                    // must degrade to an error, not to ragged columns.
+                    for c in &mut self.columns {
+                        c.truncate(first_row);
+                    }
+                    return Err(e);
+                }
             }
-            return Err(SqlError::Catalog(format!("table {name:?} already exists")));
         }
-        tables.insert(lname.clone(), Arc::new(RwLock::new(Table::new(lname, columns))));
+        for k in 0..self.indexes.len() {
+            let col = self.indexes[k].column();
+            let values: Vec<Value> = rows.iter().map(|r| r[col].clone()).collect();
+            if let Err(e) = self.indexes[k].append(&values, first_row as u64) {
+                for c in &mut self.columns {
+                    c.truncate(first_row);
+                }
+                // Indexes fed so far hold entries for the rows just
+                // rolled back; an index is only an access path, so
+                // dropping them is safe where serving stale row ids
+                // is not.
+                let dropped: Vec<String> =
+                    self.indexes.drain(..=k).map(|i| i.name().to_string()).collect();
+                return Err(SqlError::execution(format!(
+                    "{e}; index(es) {dropped:?} on table {} were dropped to preserve \
+                     consistency and must be re-created",
+                    self.name
+                )));
+            }
+        }
         Ok(())
     }
 
-    pub fn drop_table(&self, name: &str, if_exists: bool) -> SqlResult<()> {
-        let lname = name.to_ascii_lowercase();
-        let mut tables = self.tables.write();
-        if tables.remove(&lname).is_none() && !if_exists {
-            return Err(SqlError::Catalog(format!("table {name:?} does not exist")));
+    fn truncate(&mut self, len: usize) {
+        for c in &mut self.columns {
+            c.truncate(len);
         }
-        Ok(())
     }
 
-    pub fn get(&self, name: &str) -> SqlResult<Arc<RwLock<Table>>> {
-        self.tables
-            .read()
-            .get(&name.to_ascii_lowercase())
-            .cloned()
-            .ok_or_else(|| SqlError::Catalog(format!("table {name:?} does not exist")))
+    /// Rebuild each touched column with its replacements applied
+    /// (columns are immutable vectors; cell-wise edits would be
+    /// quadratic). A value the column type rejects fails the staging.
+    fn stage_update(&self, cells: &[(u64, u64, Value)]) -> SqlResult<StagedColumns> {
+        let mut values: Vec<(usize, Vec<Value>)> = Vec::new();
+        for (row, col, v) in cells {
+            let col = *col as usize;
+            let k = match values.iter().position(|(c, _)| *c == col) {
+                Some(k) => k,
+                None => {
+                    values.push((col, self.column_values(col)));
+                    values.len() - 1
+                }
+            };
+            values[k].1[*row as usize] = v.clone();
+        }
+        let mut staged = Vec::with_capacity(values.len());
+        for (col, vals) in values {
+            let mut nc = ColumnData::new(&self.columns[col].ty);
+            for v in &vals {
+                nc.push(v)?;
+            }
+            staged.push((col, nc));
+        }
+        Ok(staged)
     }
 
-    pub fn table_names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.tables.read().keys().cloned().collect();
-        v.sort();
-        v
+    fn stage_delete(&self, rows: &[u64]) -> SqlResult<StagedColumns> {
+        let mut dead = vec![false; self.row_count()];
+        for r in rows {
+            dead[*r as usize] = true;
+        }
+        let keep: Vec<usize> = (0..dead.len()).filter(|i| !dead[*i]).collect();
+        Ok(self.columns.iter().map(|c| c.gather(&keep)).enumerate().collect())
     }
-}
 
-impl Catalog for DbCatalog {
-    fn table_schema(&self, name: &str) -> Option<Vec<(String, LogicalType)>> {
-        let t = self.tables.read().get(&name.to_ascii_lowercase())?.clone();
-        let t = t.read();
-        Some(
-            t.column_names
-                .iter()
-                .cloned()
-                .zip(t.columns.iter().map(|c| c.ty.clone()))
-                .collect(),
-        )
+    fn staged_values(&self, staged: &StagedColumns, col: usize) -> Vec<Value> {
+        match staged.iter().find(|(c, _)| *c == col) {
+            Some((_, nc)) => (0..nc.len()).map(|i| nc.get(i)).collect(),
+            None => self.column_values(col),
+        }
+    }
+
+    fn apply(&mut self, staged: StagedColumns) {
+        for (col, nc) in staged {
+            self.columns[col] = nc;
+        }
+    }
+
+    fn indexes(&self) -> &[Box<dyn TableIndex>] {
+        &self.indexes
+    }
+
+    fn indexes_mut(&mut self) -> &mut Vec<Box<dyn TableIndex>> {
+        &mut self.indexes
     }
 }

@@ -19,14 +19,16 @@ use mduck_sql::{
     SortKey, SqlError, SqlResult, Value,
 };
 
-use crate::catalog::DbCatalog;
+use mduck_wal::session::{Storage, TableCatalog};
+
+use crate::catalog::Table;
 use crate::column::{Chunks, ColumnData, DataChunk, VECTOR_SIZE};
 use crate::expr::{eval_vector, filter_chunk};
 use crate::parallel::{contiguous_ranges, morsel_map, ParStats, MIN_PARALLEL_MORSELS};
 
 /// Shared execution context for one statement.
 pub struct EngineCtx<'a> {
-    pub catalog: &'a DbCatalog,
+    pub catalog: &'a TableCatalog<Table>,
     pub registry: &'a Registry,
     /// Per-statement resource guard: cancellation, deadline, row budget.
     /// Charged at chunk boundaries throughout the executor.
@@ -114,7 +116,7 @@ pub fn plan_key(plan: &BoundSelect) -> usize {
 }
 
 impl<'a> EngineCtx<'a> {
-    pub fn new(catalog: &'a DbCatalog, registry: &'a Registry, guard: &'a ExecGuard) -> Self {
+    pub fn new(catalog: &'a TableCatalog<Table>, registry: &'a Registry, guard: &'a ExecGuard) -> Self {
         EngineCtx {
             catalog,
             registry,

@@ -6,6 +6,7 @@
 
 use std::collections::HashMap;
 
+use mduck_obs::{OpBreakdown, StageBreakdown};
 use mduck_sql::{BoundSelect, SortKey};
 
 use crate::exec::{op_key, op_name, PhysOp, PhysPlan, Profile};
@@ -244,34 +245,6 @@ fn render_op(
         }
         _ => {}
     }
-}
-
-/// One flattened per-operator row of an analyzed plan (bench exports).
-#[derive(Debug, Clone)]
-pub struct OpBreakdown {
-    pub op: &'static str,
-    pub detail: String,
-    pub execs: u64,
-    /// Exclusive wall time (children subtracted).
-    pub elapsed_ms: f64,
-    pub rows_out: u64,
-    pub chunks_out: u64,
-    pub rows_scanned: u64,
-    /// Bytes of output/state this operator materialized (charged against
-    /// the statement's memory scope).
-    pub mem_bytes: u64,
-}
-
-/// One post-join stage's actuals of the top-level plan (bench exports,
-/// stage-timing assertions in tests).
-#[derive(Debug, Clone)]
-pub struct StageBreakdown {
-    pub stage: &'static str,
-    pub execs: u64,
-    pub elapsed_ms: f64,
-    pub rows_out: u64,
-    /// Bytes of state this stage materialized (sort keys, group states).
-    pub mem_bytes: u64,
 }
 
 /// Flatten the top-level plan's stage actuals, sorted by stage name.

@@ -22,12 +22,11 @@ pub mod database;
 pub mod exec;
 pub mod explain;
 pub mod expr;
-pub mod index;
 pub mod parallel;
 
-pub use catalog::{DbCatalog, Table};
+pub use catalog::Table;
 pub use column::{Chunks, ColumnData, DataChunk, Payload, VECTOR_SIZE};
-pub use database::{Database, QueryResult};
+pub use database::{Database, VecEngine};
 pub use exec::{execute_select, EngineCtx, PhysOp};
-pub use index::{IndexType, IndexTypeRegistry, TableIndex};
 pub use mduck_sql::{CancelHandle, ExecGuard, ExecLimits};
+pub use mduck_wal::session::{IndexType, IndexTypeRegistry, ProfiledQuery, QueryResult, TableIndex};

@@ -21,13 +21,21 @@
 //! MDUCK_FAILPOINT_SEED=42   # optional; defaults to 0xD0C5EED
 //! ```
 //!
+//! The registry (armed sites, hit counts, seed) is per thread: a site
+//! armed on one thread never fires on another, so tests running in
+//! parallel cannot trip each other's statements. WAL appends and
+//! checkpoints run on the thread that executes the statement, never in
+//! a morsel worker, so arming the statement's own thread covers every
+//! site it reaches. The environment variables seed each thread's
+//! registry on its first use.
+//!
 //! Short-write lengths are derived from the in-repo PRNG seeded by
 //! `(seed, site hash, hit index)`, so a given configuration replays the
 //! same torn bytes on every run. Triggers are one-shot: after firing,
 //! the site disarms itself so recovery on reopen is not re-injected.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use mduck_prng::{RngCore, SeedableRng, SplitMix64};
 
@@ -96,9 +104,17 @@ fn parse_action(s: &str) -> Option<FailAction> {
     }
 }
 
-fn registry() -> MutexGuard<'static, FailRegistry> {
-    static REG: OnceLock<Mutex<FailRegistry>> = OnceLock::new();
-    let m = REG.get_or_init(|| {
+/// Run `f` on the calling thread's registry, seeding it from the
+/// environment on first use.
+fn with_registry<R>(f: impl FnOnce(&mut FailRegistry) -> R) -> R {
+    thread_local! {
+        static REG: RefCell<FailRegistry> = RefCell::new(FailRegistry::from_env());
+    }
+    REG.with(|reg| f(&mut reg.borrow_mut()))
+}
+
+impl FailRegistry {
+    fn from_env() -> Self {
         let seed = std::env::var("MDUCK_FAILPOINT_SEED")
             .ok()
             .and_then(|s| s.parse::<u64>().ok())
@@ -107,10 +123,8 @@ fn registry() -> MutexGuard<'static, FailRegistry> {
         if let Ok(spec) = std::env::var("MDUCK_FAILPOINTS") {
             apply_spec(&mut reg, &spec);
         }
-        Mutex::new(reg)
-    });
-    // A panic while holding the lock cannot corrupt this plain map.
-    m.lock().unwrap_or_else(|p| p.into_inner())
+        reg
+    }
 }
 
 fn apply_spec(reg: &mut FailRegistry, spec: &str) {
@@ -131,67 +145,63 @@ fn apply_spec(reg: &mut FailRegistry, spec: &str) {
 
 /// Consult (and count) the failpoint at `site`. Never blocks on I/O.
 pub fn check(site: &str) -> FailDecision {
-    let mut reg = registry();
-    let seed = reg.seed;
-    let state = reg
-        .sites
-        .entry(site.to_string())
-        .or_insert(SiteState { armed: None, hits: 0 });
-    state.hits += 1;
-    if let Some((action, at)) = state.armed {
-        if state.hits == at {
-            state.armed = None; // one-shot
-            let mut rng = SplitMix64::seed_from_u64(seed ^ fnv1a(site) ^ state.hits);
-            let raw = rng.next_u64();
-            mduck_obs::metrics::metrics().wal_failpoint_trips.inc(1);
-            return FailDecision::Fail { action, raw };
+    with_registry(|reg| {
+        let seed = reg.seed;
+        let state = reg
+            .sites
+            .entry(site.to_string())
+            .or_insert(SiteState { armed: None, hits: 0 });
+        state.hits += 1;
+        if let Some((action, at)) = state.armed {
+            if state.hits == at {
+                state.armed = None; // one-shot
+                let mut rng = SplitMix64::seed_from_u64(seed ^ fnv1a(site) ^ state.hits);
+                let raw = rng.next_u64();
+                mduck_obs::metrics::metrics().wal_failpoint_trips.inc(1);
+                return FailDecision::Fail { action, raw };
+            }
         }
-    }
-    FailDecision::Proceed
+        FailDecision::Proceed
+    })
 }
 
 /// Arm `site` to fire `action` on its `after`-th hit (1-based, one-shot).
 pub fn set(site: &str, action: FailAction, after: u64) {
-    let mut reg = registry();
-    reg.sites.insert(
-        site.to_string(),
-        SiteState { armed: Some((action, after.max(1))), hits: 0 },
-    );
+    with_registry(|reg| {
+        reg.sites.insert(
+            site.to_string(),
+            SiteState { armed: Some((action, after.max(1))), hits: 0 },
+        );
+    })
 }
 
 /// Disarm every site and zero all hit counters.
 pub fn clear_all() {
-    registry().sites.clear();
+    with_registry(|reg| reg.sites.clear())
 }
 
-/// Zero hit counters without touching armed triggers.
-pub fn reset_hits() {
-    for s in registry().sites.values_mut() {
-        s.hits = 0;
-    }
-}
-
-/// Per-site hit totals since the last clear/reset, sorted by name.
+/// Per-site hit totals since the last clear, sorted by name.
 pub fn hit_counts() -> Vec<(String, u64)> {
-    let reg = registry();
-    let mut out: Vec<(String, u64)> =
-        reg.sites.iter().map(|(k, v)| (k.clone(), v.hits)).collect();
-    out.sort();
-    out
+    with_registry(|reg| {
+        let mut out: Vec<(String, u64)> =
+            reg.sites.iter().map(|(k, v)| (k.clone(), v.hits)).collect();
+        out.sort();
+        out
+    })
 }
 
 /// Override the PRNG seed (tests); env `MDUCK_FAILPOINT_SEED` sets the
 /// initial value.
 pub fn set_seed(seed: u64) {
-    registry().seed = seed;
+    with_registry(|reg| reg.seed = seed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // Tests share the process-global registry, so each test clears it
-    // and uses site names no other test (or the WAL) uses.
+    // The registry is per thread and the harness runs each test on a
+    // thread of its own, so tests cannot see each other's sites.
 
     #[test]
     fn one_shot_fires_on_exact_hit() {
@@ -223,6 +233,16 @@ mod tests {
         assert_eq!(first, second);
         clear_all();
         set_seed(DEFAULT_SEED);
+    }
+
+    #[test]
+    fn sites_armed_on_one_thread_stay_quiet_on_another() {
+        clear_all();
+        set("test.site.c", FailAction::Crash, 1);
+        let elsewhere = std::thread::spawn(|| check("test.site.c")).join();
+        assert_eq!(elsewhere.ok(), Some(FailDecision::Proceed));
+        assert!(matches!(check("test.site.c"), FailDecision::Fail { .. }));
+        clear_all();
     }
 
     #[test]

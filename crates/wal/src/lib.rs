@@ -1,10 +1,12 @@
-//! # mduck-wal — crash-safe durability for the MobilityDuck engines
+//! # mduck-wal — the session layer and crash-safe durability
 //!
 //! The paper's engines inherit durability from DuckDB's storage layer;
 //! this crate is our reproduction's equivalent: a length-prefixed,
-//! CRC32-checksummed write-ahead log plus checkpoint/recovery, shared
-//! by both the vectorized and the row engine through
-//! [`DurabilityManager`]. The in-memory default is unchanged — a
+//! CRC32-checksummed write-ahead log plus checkpoint/recovery, and the
+//! one [`session::Session`] both the vectorized and the row engine run
+//! under. The session owns the catalog, the index framework, PRAGMA
+//! dispatch and the commit disciplines; the engines plug in only their
+//! storage layout and executor. The in-memory default is unchanged — a
 //! database only pays for durability after `Database::open(path)` or
 //! `PRAGMA wal='path'`.
 //!
@@ -15,11 +17,14 @@
 //! * [`snapshot`] — checkpoint images and their atomic-rename protocol.
 //! * [`wal`] — the log file, recovery, and the append/checkpoint path.
 //! * [`failpoint`] — deterministic fault injection for all of the above.
+//! * [`session`] — the database instance both engines share: entry
+//!   points, query log, PRAGMAs, DDL/DML commit paths, recovery replay.
 
 pub mod codec;
 pub mod crc32;
 pub mod failpoint;
 pub mod record;
+pub mod session;
 pub mod snapshot;
 pub mod wal;
 

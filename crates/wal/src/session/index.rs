@@ -1,8 +1,8 @@
-//! The pluggable index framework (§4.1): extensions register an
-//! [`IndexType`] (the paper's `RegisterRTreeIndex`) whose instances attach
-//! to table columns, accept appended rows (index-first path) or a bulk
-//! build (data-first path), and answer optimizer probes for scan injection
-//! (§4.3).
+//! The pluggable index framework (§4.1), shared by both engines:
+//! extensions register an [`IndexType`] (the paper's
+//! `RegisterRTreeIndex`) whose instances attach to table columns, accept
+//! appended rows (index-first path) or a bulk build (data-first path),
+//! and answer optimizer probes for scan injection (§4.3).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -13,7 +13,7 @@ use mduck_sql::{LogicalType, SqlResult, Value};
 pub trait TableIndex: Send + Sync {
     /// The index name (from `CREATE INDEX <name>`).
     fn name(&self) -> &str;
-    /// The index method (`TRTREE`, ...).
+    /// The index method (`TRTREE`, `GIST`, `BTREE`, ...).
     fn method(&self) -> &str;
     /// The indexed column position in the table.
     fn column(&self) -> usize;
@@ -68,11 +68,5 @@ impl IndexTypeRegistry {
 
     pub fn get(&self, name: &str) -> Option<Arc<dyn IndexType>> {
         self.types.get(&name.to_ascii_uppercase()).cloned()
-    }
-
-    pub fn names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.types.keys().cloned().collect();
-        v.sort();
-        v
     }
 }

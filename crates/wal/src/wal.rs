@@ -280,10 +280,6 @@ impl DurabilityManager {
         self.lock().len
     }
 
-    pub fn is_poisoned(&self) -> bool {
-        self.lock().poisoned
-    }
-
     /// Auto-checkpoint threshold in bytes; 0 disables.
     pub fn set_auto_checkpoint(&self, bytes: u64) {
         self.auto_checkpoint.store(bytes, Ordering::Relaxed);

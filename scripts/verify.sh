@@ -47,9 +47,13 @@ echo "== durability / crash torture =="
 # Runs serially and with a 4-worker pool: the WAL commit path must be
 # identical under parallel execution. MDUCK_FAILPOINTS itself is
 # exercised in-process via the programmatic API the env var feeds.
+# session_contract holds both engines to the one session layer's
+# commit path: row budgets on DML, result shapes, guard cancellation.
 cargo test -q -p mduck-wal
-cargo test -q -p mduck-integration --test durability --test crash_torture
-MDUCK_THREADS=4 cargo test -q -p mduck-integration --test durability --test crash_torture
+MDUCK_THREADS=1 cargo test -q -p mduck-integration \
+  --test durability --test crash_torture --test session_contract
+MDUCK_THREADS=4 cargo test -q -p mduck-integration \
+  --test durability --test crash_torture --test session_contract
 
 echo "== clippy =="
 # Scoped to the bug classes this codebase has actually shipped

@@ -3,8 +3,9 @@
 //! both engines — then reopen and assert the recovered state equals the
 //! committed prefix (exactly the statements that reported success).
 //!
-//! The failpoint registry is process-global, so everything here
-//! serializes behind one lock. `scripts/verify.sh` runs this file both
+//! The failpoint registry is per thread, so crash points armed here
+//! fire only in the arming test; everything here still serializes
+//! behind one lock. `scripts/verify.sh` runs this file both
 //! serially and under `MDUCK_THREADS=4` (the vectorized engine picks
 //! the worker count up from the environment).
 

@@ -3,10 +3,10 @@
 //! (empty log, torn tail, missing log, CRC corruption), and statement
 //! atomicity under failure.
 //!
-//! The failpoint registry and the metrics registry are process-global,
-//! so tests that arm failpoints serialize behind `SERIAL` (shared with
-//! `crash_torture.rs` via file-level separation: this file only uses
-//! failpoints in the atomicity tests).
+//! The metrics registry is process-global; the failpoint registry is
+//! per thread, so a site armed here only fires in the arming test. Tests
+//! that arm failpoints still serialize behind `SERIAL` (this file only
+//! uses failpoints in the atomicity tests).
 
 use std::path::PathBuf;
 use std::sync::Mutex;

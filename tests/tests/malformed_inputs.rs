@@ -6,7 +6,7 @@
 use mduck_geo::wkb::{from_wkb, to_wkb};
 use mduck_geo::wkt::parse_wkt;
 use mduck_geo::gserialized::{from_native, peek_bbox, to_native};
-use mduck_sql::SqlError;
+use mduck_sql::{SqlError, Value};
 use mduck_temporal::temporal::{parse_tfloat, parse_tgeompoint};
 use mduck_temporal::{parse_span, parse_stbox, parse_timestamp, TstzSpan};
 use quackdb::Database;
@@ -233,5 +233,53 @@ fn garbage_statements_are_typed_errors() {
             Ok(_) => panic!("expected an error for {sql:?}"),
             Err(e) => assert!(!e.is_internal(), "internal error on {sql:?}: {e}"),
         }
+    }
+}
+
+// ------------------------------------------------------------------ WAL
+
+/// A CRC-valid log whose last record does not fit the table it names
+/// (a column or row past the end) is corruption, and both engines say so
+/// the same way on replay: never a panic, never a silently dropped edit.
+#[test]
+fn wal_edits_outside_the_table_are_corruption_on_both_engines() {
+    use mduck_wal::{DurabilityManager, WalRecord};
+
+    let bad_records = [
+        ("update_col", WalRecord::Update { table: "t".into(), cells: vec![(0, 99, Value::Int(1))] }),
+        ("update_row", WalRecord::Update { table: "t".into(), cells: vec![(99, 0, Value::Int(1))] }),
+        ("delete_row", WalRecord::Delete { table: "t".into(), rows: vec![99] }),
+    ];
+    for (name, bad) in bad_records {
+        let path = std::env::temp_dir()
+            .join(format!("mduck_malformed_{}_{name}.wal", std::process::id()));
+        let remove = |p: &std::path::Path| {
+            let _ = std::fs::remove_file(p);
+            let _ = std::fs::remove_file(format!("{}.ckpt", p.display()));
+        };
+        remove(&path);
+        {
+            let registry = mduck_sql::Registry::with_builtins();
+            let (wal, _) = DurabilityManager::open(&path, &registry).unwrap();
+            for record in [
+                WalRecord::CreateTable {
+                    name: "t".into(),
+                    columns: vec![("a".into(), mduck_sql::LogicalType::Int)],
+                },
+                WalRecord::Insert { table: "t".into(), rows: vec![vec![Value::Int(7)]; 3] },
+                bad,
+            ] {
+                wal.append(&record).unwrap();
+            }
+        }
+        match Database::open(&path) {
+            Err(SqlError::Corruption(_)) => {}
+            other => panic!("vecdb {name}: expected Corruption, got {:?}", other.err()),
+        }
+        match mduck_rowdb::RowDatabase::open(&path) {
+            Err(SqlError::Corruption(_)) => {}
+            other => panic!("rowdb {name}: expected Corruption, got {:?}", other.err()),
+        }
+        remove(&path);
     }
 }
